@@ -58,6 +58,10 @@ _OBSERVABLE_COLUMNS = {
 
 _DIAG_COLUMNS = ("residual", "status")
 
+# Modes that solve on the ladder, whose dimension N + 1 needs a whole N;
+# screening_curve takes N as a real (effective) atom number.
+_LADDER_MODES = ("dynamics", "steady_state", "phase_diagram")
+
 
 class ConfigError(ValueError):
     """Invalid sweep specification."""
@@ -65,6 +69,13 @@ class ConfigError(ValueError):
 
 class AllPointsFailedError(RuntimeError):
     """Every point of the sweep failed to solve."""
+
+
+def _is_integral(value) -> bool:
+    try:
+        return float(value).is_integer()
+    except (TypeError, ValueError):
+        return False
 
 
 @dataclass
@@ -100,6 +111,13 @@ class SweepSpec:
             )
         if self.tol <= 0:
             raise ConfigError(f"tol must be > 0, got {self.tol}")
+        if self.mode in _LADDER_MODES:
+            for n in self.grids["n_atoms"]:
+                if not _is_integral(n):
+                    raise ConfigError(
+                        f"mode {self.mode!r} needs whole atom numbers, got "
+                        f"n_atoms = {n!r}"
+                    )
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SweepSpec":
@@ -186,7 +204,7 @@ def _dynamics_rows(point, tol, settings):
     return rows
 
 
-def _steady_row(n, rabi, tol):
+def _steady_row(n, rabi):
     params = ModelParams(n_atoms=int(n), rabi=float(rabi))
     state = steady_state(params)
     obs = observables(state)
@@ -210,11 +228,11 @@ def _eval_point(task):
         if mode == "dynamics":
             return _dynamics_rows(point, tol, settings)
         if mode == "steady_state":
-            return [_steady_row(point["n_atoms"], point["rabi"], tol)]
+            return [_steady_row(point["n_atoms"], point["rabi"])]
         if mode == "phase_diagram":
             n, beta = int(point["n_atoms"]), float(point["beta"])
             rabi = 0.5 * beta * n
-            row = _steady_row(n, rabi, tol)
+            row = _steady_row(n, rabi)
             row["beta"] = beta
             return [row]
         if mode == "screening_curve":

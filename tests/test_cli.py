@@ -72,6 +72,14 @@ class TestSweepCommands:
         assert code == 1
         assert "config error" in err
 
+    def test_non_integer_n_atoms_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "phase-diagram", "--n-atoms", "4,4.7", "--beta", "2.0"
+        )
+        assert code == 1
+        assert out == ""
+        assert "config error" in err and "4.7" in err
+
     def test_mode_mismatch_exit_code(self, capsys, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"mode": "dynamics", "grids": {}}))

@@ -11,8 +11,14 @@ from ddmsim import (
     observables,
     steady_state,
 )
-from ddmsim.ladder import UndefinedCorrelationError, _coupling_array
+from ddmsim.ladder import (
+    UndefinedCorrelationError,
+    _coupling_array,
+    _solve_with_trace_row,
+    _superoperator,
+)
 from ddmsim.analysis import obe_excited_population
+from ddmsim.oracle import FullState, full_evolve, project_to_ladder
 
 
 def random_density_matrix(n, seed):
@@ -172,6 +178,70 @@ class TestSteadyState:
         state = steady_state(params)
         assert np.max(np.abs(liouvillian_rhs(state, params))) < 1e-10
         state.check(trace_tol=1e-10, herm_tol=1e-12, psd_tol=1e-8)
+
+    def test_resonant_closed_form_matches_sparse_lu(self):
+        # The sparse trace-row solve that resonant drive used before the
+        # closed form, kept as the reference.
+        def lu_state(params):
+            dim = params.n_atoms + 1
+            v = _solve_with_trace_row(_superoperator(params), dim, row=0)
+            rho = v.reshape(dim, dim, order="F")
+            rho = 0.5 * (rho + rho.conj().T)
+            return rho / np.real(np.trace(rho))
+
+        cases = [
+            ModelParams(n_atoms=n, rabi=0.5 * beta * n)
+            for n in (1, 2, 5, 16, 40, 100)
+            for beta in (0.05, 0.5, 0.95, 1.05, 3.0, 100.0)
+        ]
+        cases.append(ModelParams(n_atoms=16, rabi=7.0, gamma=2.5))
+        for params in cases:
+            state = steady_state(params)
+            assert np.max(np.abs(state.rho - lu_state(params))) <= 1e-12, params
+            assert np.max(np.abs(liouvillian_rhs(state, params))) <= 1e-10, params
+
+    def test_resonant_closed_form_extreme_range(self):
+        # Weak drive at large N spans hundreds of decades between the
+        # bottom and top populations; strong drive is near saturation.
+        for n in (1000, 2000):
+            for beta in (0.01, 0.3, 100.0):
+                params = ModelParams(n_atoms=n, rabi=0.5 * beta * n)
+                state = steady_state(params)
+                label = (n, beta)
+                assert np.all(np.isfinite(state.rho)), label
+                assert abs(state.trace() - 1.0) <= 1e-10, label
+                assert state.hermiticity_defect() == 0.0, label
+                assert np.max(np.abs(liouvillian_rhs(state, params))) <= 1e-10, label
+                obs = observables(state)
+                if beta <= 0.3:
+                    # Below threshold the dipole locks to <S-> = -i*rabi.
+                    assert abs(obs.dipole.imag / params.rabi + 1.0) <= 1e-6, label
+                else:
+                    saturated = n * (n + 2) / 6.0
+                    assert abs(obs.gamma_sr / saturated - 1.0) <= 0.02, label
+
+    def test_resonant_residual_check_raises(self):
+        with pytest.raises(RuntimeError, match="residual"):
+            steady_state(ModelParams(n_atoms=40, rabi=30.0), resid_tol=1e-300)
+
+    def test_detuned_matches_full_space_oracle(self):
+        # Detuned drive has no closed form and takes the sparse solve;
+        # the 2^N oracle relaxed from the ground state checks it.
+        for n in (2, 3):
+            for rabi in (0.7, 2.0):
+                for detuning in (-0.9, 0.9):
+                    params = ModelParams(n_atoms=n, rabi=rabi, detuning=detuning)
+                    state = steady_state(params)
+                    _, full = full_evolve(
+                        FullState.ground(n), params, 80.0, tol=1e-11, n_samples=2
+                    )
+                    ref = observables(project_to_ladder(full[-1])[0])
+                    obs = observables(state)
+                    label = (n, rabi, detuning)
+                    assert abs(obs.s_z - ref.s_z) <= 1e-8, label
+                    assert abs(obs.gamma_sr - ref.gamma_sr) <= 1e-8, label
+                    assert abs(obs.dipole - ref.dipole) <= 1e-8, label
+                    assert np.max(np.abs(liouvillian_rhs(state, params))) <= 1e-10, label
 
     def test_fixed_point_of_evolve(self):
         params = ModelParams(n_atoms=8, rabi=3.0)

@@ -49,6 +49,23 @@ class TestSweepSpec:
         with pytest.raises(ConfigError):
             make_spec(schema_version=99)
 
+    @pytest.mark.parametrize("mode,other", [
+        ("dynamics", "rabi"), ("steady_state", "rabi"), ("phase_diagram", "beta"),
+    ])
+    def test_non_integer_n_atoms(self, mode, other):
+        for bad in (4.7, float("nan"), "four"):
+            with pytest.raises(ConfigError):
+                SweepSpec.from_dict({
+                    "mode": mode, "grids": {"n_atoms": [4, bad], other: [1.0]},
+                })
+        SweepSpec.from_dict({"mode": mode, "grids": {"n_atoms": [3.0], other: [1.0]}})
+
+    def test_screening_keeps_real_n_atoms(self):
+        spec = SweepSpec.from_dict({
+            "mode": "screening_curve", "grids": {"n_atoms": [4.7], "beta": [2.0]},
+        })
+        assert run(spec).rows[0]["status"] == "ok"
+
     def test_hash_stable(self):
         assert make_spec().canonical_hash() == make_spec().canonical_hash()
         assert make_spec().canonical_hash() != make_spec(tol=1e-6).canonical_hash()
