@@ -7,19 +7,27 @@ screening, mu) plus two fitting commands operating on CSV tables
 as CSV with a '#'-prefixed JSON metadata header.
 
 Exit codes: 0 success, 1 configuration error, 2 solver failure on every
-point, 3 I/O error.
+point or a fit that fails (no convergence, or a trace too flat to
+constrain it), 3 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 
 import numpy as np
 
 from ddmsim import __version__
-from ddmsim.analysis import TimeTrace, fit_omega_eff, fit_power_law
+from ddmsim.analysis import (
+    FitConvergenceError,
+    TimeTrace,
+    UnderdeterminedFitError,
+    fit_omega_eff,
+    fit_power_law,
+)
 from ddmsim.sweep import (
     AllPointsFailedError,
     ConfigError,
@@ -133,14 +141,15 @@ def _spec_from_args(args, mode: str) -> SweepSpec:
 
 def _read_table(path: str) -> dict:
     """Read a ddmsim CSV (or any headed CSV); returns column arrays."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    if len(lines) < 2:
+    with open(path, newline="") as fh:
+        lines = (ln for ln in fh if not ln.startswith("#"))
+        rows = [row for row in csv.reader(lines) if any(map(str.strip, row))]
+    if len(rows) < 2:
         raise ConfigError(f"{path}: no data rows")
-    header = [c.strip() for c in lines[0].split(",")]
+    header = [c.strip() for c in rows[0]]
     cols = {name: [] for name in header}
-    for ln in lines[1:]:
-        for name, cell in zip(header, ln.split(",")):
+    for row in rows[1:]:
+        for name, cell in zip(header, row):
             try:
                 cols[name].append(float(cell))
             except ValueError:
@@ -211,6 +220,9 @@ def main(argv=None) -> int:
         if args.command == "fit-alpha":
             return _run_fit_alpha(args)
         raise ConfigError(f"unknown command {args.command!r}")
+    except (FitConvergenceError, UnderdeterminedFitError) as exc:
+        print(f"ddmsim: fit failure: {exc}", file=sys.stderr)
+        return 2
     except (ConfigError, ValueError) as exc:
         print(f"ddmsim: config error: {exc}", file=sys.stderr)
         return 1

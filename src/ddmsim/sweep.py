@@ -9,7 +9,9 @@ and trivially plottable.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import os
 import time
@@ -306,9 +308,15 @@ def run(spec: SweepSpec, threads: int = 1) -> SweepResult:
 
 
 def format_csv(result: SweepResult) -> str:
-    """CSV text: '#'-prefixed JSON metadata line, header, data rows."""
-    lines = ["# " + json.dumps(result.metadata, sort_keys=True)]
-    lines.append(",".join(result.columns))
+    """CSV text: '#'-prefixed JSON metadata line, header, data rows.
+
+    Cells that hold a comma, quote or newline (error text in `status`)
+    are quoted; every other cell is written as is.
+    """
+    buf = io.StringIO()
+    buf.write("# " + json.dumps(result.metadata, sort_keys=True) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(result.columns)
     for row in result.rows:
         cells = []
         for col in result.columns:
@@ -317,8 +325,8 @@ def format_csv(result: SweepResult) -> str:
                 cells.append(f"{val:.12g}")
             else:
                 cells.append(str(val))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        writer.writerow(cells)
+    return buf.getvalue()
 
 
 def write_csv(result: SweepResult, path: str):

@@ -1,9 +1,12 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from ddmsim.cli import main
+import ddmsim.cli
+from ddmsim.analysis import FitConvergenceError
+from ddmsim.cli import _read_table, main
 
 
 def run_cli(capsys, *argv):
@@ -98,6 +101,30 @@ class TestSweepCommands:
         )
         assert code == 3
 
+    def test_error_row_round_trips(self, capsys, tmp_path):
+        # The error text of the failing point holds commas; quoting keeps
+        # every row as wide as the header.
+        path = tmp_path / "mu.csv"
+        code, _, _ = run_cli(
+            capsys, "mu", "--ell-ax=-1.0,22.5", "--ell-rad", "0.5",
+            "--out", str(path),
+        )
+        assert code == 0
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(ln for ln in fh if not ln.startswith("#")))
+        header = rows[0]
+        assert all(len(row) == len(header) for row in rows)
+        status = [row[header.index("status")] for row in rows[1:]]
+        assert status == [
+            "error: cloud sizes must be > 0, got ell_ax=-1.0, ell_rad=0.5", "ok"
+        ]
+        table = _read_table(str(path))
+        assert list(table) == header
+        assert np.array_equal(table["ell_ax"], [-1.0, 22.5])
+        assert np.array_equal(table["ell_rad"], [0.5, 0.5])
+        assert np.isnan(table["mu"][0]) and 2.0e-3 <= table["mu"][1] <= 3.0e-3
+        assert np.isnan(table["residual"][0]) and table["residual"][1] == 0.0
+
 
 class TestFitCommands:
     def test_fit_omega_eff_round_trip(self, capsys, tmp_path):
@@ -143,3 +170,25 @@ class TestFitCommands:
         path.write_text("a,b\n1,2\n3,4\n")
         code, _, _ = run_cli(capsys, "fit-alpha", "--input", str(path))
         assert code == 1
+
+    def test_flat_trace_is_fit_failure(self, capsys, tmp_path):
+        path = tmp_path / "flat.csv"
+        rows = ["t,n_e"] + [f"{ti},0.25" for ti in np.linspace(0.0, 10.0, 50)]
+        path.write_text("\n".join(rows) + "\n")
+        code, out, err = run_cli(capsys, "fit-omega-eff", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ddmsim: fit failure: ") and "flat" in err
+
+    def test_fit_convergence_error_is_fit_failure(self, capsys, tmp_path, monkeypatch):
+        def no_convergence(trace):
+            raise FitConvergenceError("did not converge", best_params=None)
+
+        monkeypatch.setattr(ddmsim.cli, "fit_omega_eff", no_convergence)
+        path = tmp_path / "trace.csv"
+        t = np.linspace(0.0, 10.0, 50)
+        path.write_text("t,n_e\n" + "".join(f"{ti},{np.sin(ti)}\n" for ti in t))
+        code, out, err = run_cli(capsys, "fit-omega-eff", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "ddmsim: fit failure: did not converge\n"

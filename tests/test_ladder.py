@@ -97,6 +97,23 @@ class TestLiouvillianRhs:
         with pytest.raises(ValueError):
             liouvillian_rhs(state, ModelParams(n_atoms=4, rabi=1.0))
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 24, 60])
+    @pytest.mark.parametrize("detuning", [0.0, 0.7])
+    @pytest.mark.parametrize("gamma", [1.0, 2.5])
+    def test_stencil_matches_superoperator(self, n, detuning, gamma):
+        # evolve propagates with the sparse L; the residual checks use the
+        # stencil. Both must be the same master equation, on any rho.
+        rng = np.random.default_rng(n)
+        dim = n + 1
+        rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        params = ModelParams(n_atoms=n, rabi=0.9 * n, detuning=detuning, gamma=gamma)
+        stencil = liouvillian_rhs(DickeLadderState(n, rho), params)
+        sparse_l = (_superoperator(params) @ rho.ravel(order="F")).reshape(
+            dim, dim, order="F"
+        )
+        scale = np.max(np.abs(stencil))
+        assert np.max(np.abs(stencil - sparse_l)) <= 1e-13 * scale
+
 
 class TestEvolve:
     def test_undriven_ground_constant(self):
@@ -146,6 +163,27 @@ class TestEvolve:
         )
         for state in states:
             state.check(trace_tol=1e-7, herm_tol=1e-8, psd_tol=1e-7)
+
+    def test_detuned_matches_full_space_oracle(self):
+        for n in (2, 3):
+            for rabi in (0.7, 2.0):
+                for detuning in (-0.9, 0.9):
+                    params = ModelParams(n_atoms=n, rabi=rabi, detuning=detuning)
+                    t, states = evolve(
+                        DickeLadderState.ground(n), params, 5.0, tol=1e-11,
+                        n_samples=26,
+                    )
+                    t_ref, full = full_evolve(
+                        FullState.ground(n), params, 5.0, tol=1e-11, n_samples=26
+                    )
+                    assert np.array_equal(t, t_ref)
+                    label = (n, rabi, detuning)
+                    for state, full_state in zip(states, full):
+                        obs = observables(state)
+                        ref = observables(project_to_ladder(full_state)[0])
+                        assert abs(obs.s_z - ref.s_z) <= 1e-8, label
+                        assert abs(obs.dipole - ref.dipole) <= 1e-8, label
+                        assert abs(obs.gamma_sr - ref.gamma_sr) <= 1e-8, label
 
     def test_bad_arguments(self):
         state = DickeLadderState.ground(2)
