@@ -14,7 +14,6 @@ from ddmsim.params import ModelParams
 from ddmsim.ladder import (
     DickeLadderState,
     ObservableSet,
-    coupling_coeff,
     liouvillian_rhs,
     evolve,
     steady_state,
@@ -52,7 +51,6 @@ __all__ = [
     "ModelParams",
     "DickeLadderState",
     "ObservableSet",
-    "coupling_coeff",
     "liouvillian_rhs",
     "evolve",
     "steady_state",

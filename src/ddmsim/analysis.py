@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import least_squares
 
 POPULATION = "population"
@@ -102,31 +101,6 @@ def obe_excited_population(omega: float, gamma: float, t):
         1.0 - np.exp(-0.75 * gamma * t) * (cos_term + 0.75 * gamma * sinc_term)
     )
     return out if out.ndim else float(out)
-
-
-def obe_integrate(omega: float, gamma: float, times) -> np.ndarray:
-    """Numerically integrated two-level optical Bloch equations
-    (resonant, ground start); reference for the closed form above."""
-    times = np.asarray(times, dtype=float)
-
-    def rhs(_t, y):
-        n_e, re_c, im_c = y
-        return [
-            -gamma * n_e + omega * im_c,
-            -0.5 * gamma * re_c,
-            -0.5 * gamma * im_c - 0.5 * omega * (2.0 * n_e - 1.0),
-        ]
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, float(times[-1])),
-        [0.0, 0.0, 0.0],
-        method="RK45",
-        rtol=1e-12,
-        atol=1e-14,
-        t_eval=times,
-    )
-    return sol.y[0]
 
 
 def _initial_rabi_guess(trace: TimeTrace, gamma0: float) -> float:

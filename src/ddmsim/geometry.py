@@ -9,7 +9,8 @@ wavelength (k = 2*pi).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -40,6 +41,11 @@ class CloudGeometry:
         if self.ell_ax <= 0 or self.ell_rad <= 0:
             raise ValueError(
                 f"cloud sizes must be > 0, got ell_ax={self.ell_ax}, "
+                f"ell_rad={self.ell_rad}"
+            )
+        if not (math.isfinite(self.ell_ax) and math.isfinite(self.ell_rad)):
+            raise ValueError(
+                f"cloud sizes must be finite, got ell_ax={self.ell_ax}, "
                 f"ell_rad={self.ell_rad}"
             )
         axis = np.asarray(self.drive_axis, dtype=float)
@@ -75,14 +81,11 @@ def structure_factor(q, geom: CloudGeometry) -> float:
     )
 
 
-def _forward_lobe_integrand(u: float, geom: CloudGeometry) -> float:
-    # u = 1 - cos(theta); sin^2(theta) = 2u - u^2.
+def _forward_lobe_integrand(u: float, rad_sq: float, ax_sq: float) -> float:
+    # u = 1 - cos(theta); sin^2(theta) = 2u - u^2; rad_sq = (k ell_rad)^2,
+    # ax_sq = (k ell_ax)^2.
     sin_sq = u * (2.0 - u)
-    return (
-        (1.0 + 0.5 * sin_sq)
-        * np.exp(-((geom.k * geom.ell_rad) ** 2) * sin_sq)
-        * np.exp(-((geom.k * geom.ell_ax) ** 2) * u * u)
-    )
+    return (1.0 + 0.5 * sin_sq) * math.exp(-rad_sq * sin_sq - ax_sq * u * u)
 
 
 def coherent_power(geom: CloudGeometry, rel_tol: float = 1e-10) -> float:
@@ -91,14 +94,17 @@ def coherent_power(geom: CloudGeometry, rel_tol: float = 1e-10) -> float:
     pi * int_0^pi dtheta sin(theta) (1 + sin^2(theta)/2)
        * exp[-(k ell_rad sin(theta))^2] * exp[-(k ell_ax)^2 (cos(theta)-1)^2].
 
-    Integrated in u = 1 - cos(theta). The axial envelope confines the
-    integrand to a forward lobe of width ~1/(k ell_ax); a wide cloud
-    confines it further to widths ~1/(k ell_rad)^2 at both endpoints
-    (forward and backward cones). The adaptive quadrature is given those
-    edges as breakpoints.
+    Integrated in u = 1 - cos(theta), with both Gaussian envelopes in
+    one exponential. The axial envelope confines the integrand to a
+    forward lobe of width ~1/(k ell_ax); a wide cloud confines it
+    further to widths ~1/(k ell_rad)^2 at both endpoints (forward and
+    backward cones). The adaptive quadrature is given those edges as
+    breakpoints.
     """
+    rad_sq = (geom.k * geom.ell_rad) ** 2
+    ax_sq = (geom.k * geom.ell_ax) ** 2
     ax_width = 10.0 / (geom.k * geom.ell_ax)
-    rad_width = 10.0 / (2.0 * (geom.k * geom.ell_rad) ** 2)
+    rad_width = 10.0 / (2.0 * rad_sq)
     front = min(ax_width, rad_width)
     breakpoints = sorted(
         b for b in (front, 2.0 - rad_width) if 0.0 < b < 2.0
@@ -107,7 +113,7 @@ def coherent_power(geom: CloudGeometry, rel_tol: float = 1e-10) -> float:
         _forward_lobe_integrand,
         0.0,
         2.0,
-        args=(geom,),
+        args=(rad_sq, ax_sq),
         points=breakpoints or None,
         epsabs=0.0,
         epsrel=rel_tol,

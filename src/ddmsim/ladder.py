@@ -40,20 +40,6 @@ class UndefinedCorrelationError(ValueError):
     """g2(0) requested for a state with vanishing emission rate."""
 
 
-def coupling_coeff(spin: float, m: float) -> float:
-    """Ladder coupling A_m = sqrt(S(S+1) - m(m+1)).
-
-    S+|S,m> = A_m |S,m+1>, S-|S,m> = A_{m-1}|S,m-1>.
-    """
-    n = 2 * spin
-    if abs(n - round(n)) > 1e-9 or n < 1:
-        raise ValueError(f"spin must be half-integer N/2 with N >= 1, got {spin}")
-    if m < -spin - 1e-9 or m > spin + 1e-9:
-        raise ValueError(f"m = {m} outside [-S, S] with S = {spin}")
-    val = spin * (spin + 1) - m * (m + 1)
-    return float(np.sqrt(max(val, 0.0)))
-
-
 def _coupling_array(n_atoms: int) -> np.ndarray:
     """A[i] = A_{m = i - S} for i = 0..N; A[N] = A_S = 0."""
     s = n_atoms / 2.0
@@ -67,6 +53,9 @@ class DickeLadderState:
 
     n_atoms: int
     rho: np.ndarray = field(default=None)
+    # max |L rho| under the parameters it was solved for; set by
+    # steady_state, None for any other state.
+    residual: float | None = None
 
     def __post_init__(self):
         if self.n_atoms < 1:
@@ -304,30 +293,40 @@ def _resonant_steady_rho(params: ModelParams) -> np.ndarray:
     return rho + np.triu(rho, 1).conj().T
 
 
+def _residual(state: DickeLadderState, params: ModelParams) -> float:
+    """max |L rho|: how far the state is from stationary."""
+    return float(np.max(np.abs(liouvillian_rhs(state, params))))
+
+
 def steady_state(params: ModelParams, resid_tol: float = 1e-10) -> DickeLadderState:
     """Exact steady state of the master equation.
 
     Resonant drive (detuning == 0) takes the closed form of
     `_resonant_steady_rho`, O(N^2) in time and memory, tested up to
     N = 2000 at beta = 0.01..100; a Liouvillian residual above resid_tol
-    (or a non-finite one) raises a RuntimeError. Detuned drive has no such closed form: it solves the
+    (or a non-finite one) raises a RuntimeError. Detuned drive has no
+    such closed form: it solves the
     trace-constrained linear system for the null vector of the
     Liouvillian, a sparse LU of an (N+1)^2-dimensional system, tested up
     to N = 100. Solving with two different trace-row placements detects
     a degenerate (dimension > 1) null space, which would make the steady
-    state ambiguous.
+    state ambiguous. The returned state carries the residual max |L rho|
+    of that check in its `residual` field.
     """
     n = params.n_atoms
     dim = n + 1
     if params.rabi == 0.0:
-        return DickeLadderState.ground(n)
+        # The undriven ground state is dark: L rho = 0 exactly.
+        state = DickeLadderState.ground(n)
+        state.residual = 0.0
+        return state
     if params.detuning == 0.0:
         state = DickeLadderState(n, _resonant_steady_rho(params))
-        resid = np.max(np.abs(liouvillian_rhs(state, params)))
-        if not resid <= resid_tol:
+        state.residual = _residual(state, params)
+        if not state.residual <= resid_tol:
             raise RuntimeError(
-                f"closed-form steady-state residual {resid:.3e} exceeds "
-                f"{resid_tol:.1e}"
+                f"closed-form steady-state residual {state.residual:.3e} "
+                f"exceeds {resid_tol:.1e}"
             )
         return state
 
@@ -345,7 +344,7 @@ def steady_state(params: ModelParams, resid_tol: float = 1e-10) -> DickeLadderSt
     rho /= np.real(np.trace(rho))
     state = DickeLadderState(n, rho)
 
-    resid = np.max(np.abs(liouvillian_rhs(state, params)))
+    resid = _residual(state, params)
     if resid > resid_tol:
         # Ill-conditioned solve; fall back to long-time integration.
         t_relax = 50.0 / (params.beta * params.gamma * n) + 20.0 / params.gamma
@@ -356,12 +355,13 @@ def steady_state(params: ModelParams, resid_tol: float = 1e-10) -> DickeLadderSt
         rho = 0.5 * (state.rho + state.rho.conj().T)
         rho /= np.real(np.trace(rho))
         state = DickeLadderState(n, rho)
-        resid = np.max(np.abs(liouvillian_rhs(state, params)))
+        resid = _residual(state, params)
         if resid > resid_tol:
             raise NonConvergenceError(
                 f"steady-state residual {resid:.3e} exceeds {resid_tol:.1e}",
                 last_time=t_relax,
             )
+    state.residual = resid
     return state
 
 

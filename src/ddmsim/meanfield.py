@@ -12,11 +12,11 @@ as N -> infinity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from ddmsim.params import ModelParams
 from ddmsim.ladder import NonConvergenceError
@@ -120,34 +120,28 @@ def _screening_residual(u: float, beta: float, n_atoms: float) -> float:
 def solve_x(beta: float, n_atoms: float) -> ScreeningSolution:
     """Solve the screening equation for x = 2*omega_eff/(N*gamma).
 
-    The left-hand side is strictly increasing in x, so the non-negative
-    root is unique. Solved in the variable u = N*x (which stays O(1) on
-    the magnetized branch where x = O(1/N)) by bisection, then polished
-    by Newton steps until the residual is below 1e-13.
+    With w = x^2 the equation is the quadratic
+    (N^2/2) w^2 + (1 + N^2 (1 - beta^2)/2) w - beta^2 = 0, whose
+    non-negative root is unique. Divided by N^2 it reads
+    w^2/2 + B w - beta^2/N^2 = 0 with B = 1/N^2 + (1 - beta^2)/2, and
+    the root is taken in its cancellation-free form: for B >= 0 (below
+    threshold, and up to beta^2 = 1 + 2/N^2) through u^2 = N^2 w = 2 beta^2/(B + sqrt(B^2 +
+    2 beta^2/N^2)), for B < 0 as w = sqrt(B^2 + 2 beta^2/N^2) - B. No
+    term grows like a power of N, so nothing overflows at large N.
     """
-    if beta <= 0:
-        raise ValueError(f"beta must be > 0, got {beta}")
-    if n_atoms < 1:
-        raise ValueError(f"n_atoms must be >= 1, got {n_atoms}")
-    u_hi = n_atoms * beta
-    u = brentq(
-        _screening_residual,
-        0.0,
-        u_hi,
-        args=(beta, n_atoms),
-        xtol=1e-300,
-        rtol=8.9e-16,
-        maxiter=200,
-    )
-    for _ in range(5):
-        resid = _screening_residual(u, beta, n_atoms)
-        if abs(resid) < 1e-13:
-            break
-        half_u2 = 0.5 * u * u
-        deriv = 2.0 * u / n_atoms**2 + u / (1.0 + half_u2) ** 2
-        u = min(max(u - resid / deriv, 0.0), u_hi)
+    if not (math.isfinite(beta) and beta > 0):
+        raise ValueError(f"beta must be finite and > 0, got {beta}")
+    if not (math.isfinite(n_atoms) and n_atoms >= 1):
+        raise ValueError(f"n_atoms must be finite and >= 1, got {n_atoms}")
+    inv_n = 1.0 / n_atoms
+    b = inv_n * inv_n + 0.5 * (1.0 - beta) * (1.0 + beta)
+    root = math.hypot(b, math.sqrt(2.0) * beta * inv_n)
+    if b >= 0.0:
+        x = math.sqrt(2.0 * beta * beta / (b + root)) * inv_n
+    else:
+        x = math.sqrt(root - b)
     branch = BELOW_THRESHOLD if beta < 1.0 else ABOVE_THRESHOLD
-    return ScreeningSolution(beta=beta, x=u / n_atoms, branch=branch)
+    return ScreeningSolution(beta=beta, x=x, branch=branch)
 
 
 def mf_evolve(

@@ -13,6 +13,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -28,7 +29,7 @@ from ddmsim.ladder import (
     UndefinedCorrelationError,
     evolve,
     g2_zero,
-    liouvillian_rhs,
+    liouvillian_rhs,  # unused here; traced under this name by bench/spans.py
     observables,
     steady_state,
 )
@@ -214,14 +215,23 @@ def _steady_row(n, rabi):
         g2 = g2_zero(state)
     except UndefinedCorrelationError:
         g2 = float("nan")
-    residual = float(np.max(np.abs(liouvillian_rhs(state, params))))
     return {
         "n_atoms": int(n), "rabi": float(rabi), "beta": params.beta,
         "s_z": obs.s_z, "n_e": obs.n_e,
         "re_dipole": obs.dipole.real, "im_dipole": obs.dipole.imag,
         "gamma_sr": obs.gamma_sr, "g2": g2,
-        "residual": residual, "status": "ok",
+        "residual": state.residual, "status": "ok",
     }
+
+
+def _finite(row):
+    """The row itself; a ValueError if any of its numbers is not finite."""
+    bad = [
+        k for k, v in row.items() if isinstance(v, float) and not math.isfinite(v)
+    ]
+    if bad:
+        raise ValueError(f"non-finite {', '.join(bad)}")
+    return row
 
 
 def _eval_point(task):
@@ -241,20 +251,20 @@ def _eval_point(task):
             n, beta = float(point["n_atoms"]), float(point["beta"])
             sol = solve_x(beta, n)
             asym = float(np.sqrt(beta**2 - 1.0)) if beta >= 1.0 else 0.0
-            return [{
+            return [_finite({
                 "n_atoms": n, "beta": beta, "x": sol.x, "x_asymptote": asym,
                 "residual": abs(_screening_residual(n * sol.x, beta, n)),
                 "status": "ok",
-            }]
+            })]
         if mode == "cooperativity":
             ax, rad = float(point["ell_ax"]), float(point["ell_rad"])
             geom = CloudGeometry(ell_ax=ax, ell_rad=rad)
             mu = cooperativity_mu(geom)
-            return [{
+            return [_finite({
                 "ell_ax": ax, "ell_rad": rad, "mu": mu,
                 "small_angle_estimate": 1.0 / (2.0 * np.pi * ax),
                 "residual": 0.0, "status": "ok",
-            }]
+            })]
         raise ConfigError(f"unknown mode {mode!r}")
     except (ConfigError, KeyboardInterrupt):
         raise
@@ -273,6 +283,8 @@ def run(spec: SweepSpec, threads: int = 1) -> SweepResult:
     completion order. Per-point solver failures are recorded in the
     status column; only an all-points failure raises.
     """
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     grid_names = MODES[spec.mode]
     grids = [list(spec.grids[name]) for name in grid_names]
     points = [dict(zip(grid_names, combo)) for combo in product(*grids)]

@@ -94,6 +94,58 @@ class TestSweepCommands:
         assert code == 2
         assert "solver failure" in err
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, capsys, threads):
+        code, out, err = run_cli(
+            capsys, "steady", "--n-atoms", "4", "--rabi", "2.0",
+            "--threads", threads,
+        )
+        assert code == 1
+        assert out == ""
+        assert "config error" in err and "threads" in err
+
+    @pytest.mark.parametrize("argv, status", [
+        (("mu", "--ell-ax", "nan,22.5", "--ell-rad", "0.5"),
+         "error: cloud sizes must be finite, got ell_ax=nan, ell_rad=0.5"),
+        (("mu", "--ell-ax", "inf,22.5", "--ell-rad", "0.5"),
+         "error: cloud sizes must be finite, got ell_ax=inf, ell_rad=0.5"),
+        (("screening", "--n-atoms", "20", "--beta", "nan,0.5"),
+         "error: beta must be finite and > 0, got nan"),
+        (("screening", "--n-atoms", "20", "--beta", "inf,0.5"),
+         "error: beta must be finite and > 0, got inf"),
+        (("screening", "--n-atoms", "nan,20", "--beta", "0.5"),
+         "error: n_atoms must be finite and >= 1, got nan"),
+        # Finite input whose result overflows: N*x squared, 1/ell_ax.
+        (("screening", "--n-atoms", "1e200", "--beta", "1e120,0.5"),
+         "error: non-finite residual"),
+        (("mu", "--ell-ax", "1e-320,22.5", "--ell-rad", "0.5"),
+         "error: non-finite small_angle_estimate"),
+    ])
+    def test_non_finite_value_is_error_row(self, capsys, tmp_path, argv, status):
+        path = tmp_path / "out.csv"
+        code, _, _ = run_cli(capsys, *argv, "--out", str(path))
+        assert code == 0
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(ln for ln in fh if not ln.startswith("#")))
+        statuses = [row[rows[0].index("status")] for row in rows[1:]]
+        assert statuses == [status, "ok"]
+        table = _read_table(str(path))
+        assert np.isnan(table["residual"][0])
+        numeric = [col for name, col in table.items() if name != "status"]
+        assert all(np.isfinite(col[1]) for col in numeric)
+
+    @pytest.mark.parametrize("argv", [
+        ("mu", "--ell-ax", "nan", "--ell-rad", "0.5"),
+        ("mu", "--ell-ax", "2.0", "--ell-rad", "inf"),
+        ("screening", "--n-atoms", "20", "--beta", "nan"),
+        ("screening", "--n-atoms", "inf", "--beta", "0.5"),
+    ])
+    def test_all_non_finite_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "solver failure" in err
+
     def test_io_error_exit_code(self, capsys, tmp_path):
         code, _, _ = run_cli(
             capsys, "steady", "--n-atoms", "4", "--rabi", "2.0",

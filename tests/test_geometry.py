@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.integrate import dblquad
+from scipy.integrate import dblquad, quad
 
 from ddmsim import (
     CloudGeometry,
@@ -119,3 +119,50 @@ class TestCooperativityMu:
         )
         assert np.all(np.diff(grid, axis=0) <= 1e-12)  # growing ell_ax
         assert np.all(np.diff(grid, axis=1) <= 1e-12)  # growing ell_rad
+
+
+def two_exp_coherent_power(ell_ax, ell_rad, rel_tol):
+    """coherent_power with one np.exp per Gaussian envelope, as a reference
+    for the single-exponential integrand."""
+    k = TWO_PI
+
+    def integrand(u):
+        sin_sq = u * (2.0 - u)
+        return (
+            (1.0 + 0.5 * sin_sq)
+            * np.exp(-((k * ell_rad) ** 2) * sin_sq)
+            * np.exp(-((k * ell_ax) ** 2) * u * u)
+        )
+
+    rad_width = 10.0 / (2.0 * (k * ell_rad) ** 2)
+    front = min(10.0 / (k * ell_ax), rad_width)
+    points = sorted(b for b in (front, 2.0 - rad_width) if 0.0 < b < 2.0)
+    val, _ = quad(
+        integrand, 0.0, 2.0, points=points or None, epsabs=0.0,
+        epsrel=rel_tol, limit=200,
+    )
+    return np.pi * val
+
+
+class TestSingleExponentIntegrand:
+    @pytest.mark.parametrize(
+        "ell_ax, ell_rad",
+        [
+            (22.5, 0.5), (50.0, 0.2), (2.0, 0.3),  # pencil
+            (0.5, 5.0), (0.2, 2.0), (1.0, 20.0),  # disk
+            (1.0, 1.0), (1.1, 0.9), (3.0, 3.2),  # near-sphere
+            (1e-6, 1e-6),  # point cloud
+        ],
+    )
+    def test_mu_matches_two_exp_reference(self, ell_ax, ell_rad):
+        ref = two_exp_coherent_power(ell_ax, ell_rad, rel_tol=1e-12)
+        want = min(ref / SINGLE_DIPOLE_POWER, 1.0)
+        mu = cooperativity_mu(CloudGeometry(ell_ax=ell_ax, ell_rad=ell_rad))
+        assert mu == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_rejects_non_finite_or_non_positive_size(self, bad):
+        with pytest.raises(ValueError):
+            CloudGeometry(ell_ax=bad, ell_rad=0.5)
+        with pytest.raises(ValueError):
+            CloudGeometry(ell_ax=0.5, ell_rad=bad)

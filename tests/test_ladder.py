@@ -1,10 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from ddmsim import (
     DickeLadderState,
     ModelParams,
-    coupling_coeff,
     evolve,
     g2_zero,
     liouvillian_rhs,
@@ -30,28 +31,25 @@ def random_density_matrix(n, seed):
 
 
 class TestCouplingCoeff:
+    # A[i] = A_m = sqrt(S(S+1) - m(m+1)) at m = i - S, S = N/2.
     def test_top_of_ladder(self):
-        assert coupling_coeff(1, 1) == 0.0
+        assert _coupling_array(2)[2] == 0.0
 
     def test_middle(self):
-        assert coupling_coeff(1, 0) == pytest.approx(np.sqrt(2), abs=1e-15)
+        assert _coupling_array(2)[1] == pytest.approx(np.sqrt(2), abs=1e-15)
 
     def test_bottom(self):
         # A_{-S} = sqrt(2S)
-        assert coupling_coeff(5, -5) == pytest.approx(np.sqrt(10), abs=1e-15)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            coupling_coeff(2, 3)
-        with pytest.raises(ValueError):
-            coupling_coeff(2, -2.5)
+        assert _coupling_array(10)[0] == pytest.approx(np.sqrt(10), abs=1e-15)
 
     def test_array_matches_scalar(self):
         n = 7
         a = _coupling_array(n)
         s = n / 2
         for i in range(n + 1):
-            assert a[i] == pytest.approx(coupling_coeff(s, i - s), abs=1e-15)
+            m = i - s
+            scalar = math.sqrt(max(s * (s + 1) - m * (m + 1), 0.0))
+            assert a[i] == pytest.approx(scalar, abs=1e-15)
 
 
 class TestLiouvillianRhs:

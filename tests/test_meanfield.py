@@ -1,3 +1,6 @@
+import decimal
+import math
+
 import numpy as np
 import pytest
 
@@ -213,3 +216,80 @@ class TestMfEvolve:
             return int(np.sum((v[1:-1] > v[:-2] + 1e-9) & (v[1:-1] > v[2:] + 1e-9)))
 
         assert n_maxima(ne_mf) == n_maxima(ne_q)
+
+
+# The dense-grid bands: N log-spaced over 10..1e4, beta below and above 1.
+DENSE_N = np.geomspace(10.0, 1.0e4, 1500)
+DENSE_BETA = [0.2 + 0.07 * k for k in range(11)] + [1.1 + 0.19 * k for k in range(11)]
+EXTREME_N = (1.0, 1.5, 2.0, 10.0, 1e3, 1e6, 1e9, 1e12)
+EXTREME_BETA = (
+    1e-12, 1e-6, 0.1, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0, 10.0, 1e3
+)
+
+
+def decimal_x(beta, n):
+    """Root of (N^2/2) w^2 + (1 + N^2 (1 - beta^2)/2) w - beta^2 = 0,
+    x = sqrt(w), in 50-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        beta, n = decimal.Decimal(beta), decimal.Decimal(n)
+        a = n * n / 2
+        b = 1 + n * n * (1 - beta * beta) / 2
+        w = 2 * beta * beta / (b + (b * b + 4 * a * beta * beta).sqrt())
+        return float(w.sqrt())
+
+
+class TestSolveXClosedForm:
+    def test_matches_bisection_on_dense_grid_bands(self):
+        for beta in DENSE_BETA:
+            for n in DENSE_N[::15]:
+                x = solve_x(beta, n).x
+                assert abs(x - bisect_x(beta, n)) <= 1e-12 * max(x, 1.0 / n)
+
+    def test_residual_on_dense_grid_bands(self):
+        for beta in DENSE_BETA:
+            for n in DENSE_N:
+                sol = solve_x(beta, n)
+                assert abs(_screening_residual(n * sol.x, beta, n)) < 1e-12
+
+    def test_matches_decimal_root_at_extremes(self):
+        for beta in EXTREME_BETA:
+            for n in EXTREME_N:
+                want = decimal_x(beta, n)
+                assert solve_x(beta, n).x == pytest.approx(want, rel=1e-14)
+
+    def test_residual_at_extremes(self):
+        # Relative to the size of the equation's terms (beta^2 at large beta).
+        for beta in EXTREME_BETA:
+            for n in EXTREME_N:
+                sol = solve_x(beta, n)
+                assert math.isfinite(sol.x)
+                resid = abs(_screening_residual(n * sol.x, beta, n))
+                assert resid <= 1e-12 * max(1.0, beta * beta)
+
+    def test_monotone_across_branch_switch(self):
+        for n in EXTREME_N:
+            xs = [solve_x(beta, n).x for beta in EXTREME_BETA]
+            assert all(math.isfinite(x) for x in xs)
+            assert np.all(np.diff(xs) > 0)
+
+    def test_branch_labels_at_switch(self):
+        assert solve_x(1.0 - 1e-9, 100).branch == BELOW_THRESHOLD
+        assert solve_x(1.0, 100).branch == ABOVE_THRESHOLD
+        assert solve_x(1.0 + 1e-9, 100).branch == ABOVE_THRESHOLD
+
+    def test_limits(self):
+        # beta -> 0: x -> sqrt(2) beta / N; beta >> 1: x -> sqrt(beta^2 - 1).
+        assert solve_x(1e-12, 1e3).x == pytest.approx(
+            math.sqrt(2.0) * 1e-12 / 1e3, rel=1e-12
+        )
+        assert solve_x(1e3, 1e6).x == pytest.approx(math.sqrt(1e6 - 1.0), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "beta, n",
+        [(math.nan, 10.0), (math.inf, 10.0), (0.5, math.nan), (0.5, math.inf),
+         (0.0, 10.0), (0.5, 0.5)],
+    )
+    def test_rejects_bad_input(self, beta, n):
+        with pytest.raises(ValueError):
+            solve_x(beta, n)

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from ddmsim import ModelParams, observables, steady_state
+import ddmsim.ladder
+import ddmsim.sweep
+from ddmsim import ModelParams, liouvillian_rhs, observables, steady_state
 from ddmsim.analysis import TimeTrace
 from ddmsim.sweep import (
     ConfigError,
@@ -211,3 +213,42 @@ class TestSteadyWindowAverage:
             steady_window_average(trace, 2.0)
         with pytest.raises(ValueError):
             steady_window_average(trace, 0.0)
+
+
+class TestSteadyResidual:
+    @pytest.fixture
+    def rhs_calls(self, monkeypatch):
+        calls = []
+
+        def counted(state, params):
+            calls.append(state.n_atoms)
+            return liouvillian_rhs(state, params)
+
+        monkeypatch.setattr(ddmsim.ladder, "liouvillian_rhs", counted)
+        monkeypatch.setattr(ddmsim.sweep, "liouvillian_rhs", counted)
+        return calls
+
+    @pytest.mark.parametrize("mode, grids", [
+        ("steady_state", {"n_atoms": [6], "rabi": [1.5]}),
+        ("phase_diagram", {"n_atoms": [40], "beta": [2.0]}),
+    ])
+    def test_one_residual_per_resonant_row(self, rhs_calls, mode, grids):
+        result = run(SweepSpec.from_dict({"mode": mode, "grids": grids}))
+        assert len(result.rows) == 1 and result.rows[0]["status"] == "ok"
+        assert len(rhs_calls) == 1
+
+    @pytest.mark.parametrize("n, rabi", [(4, 0.0), (6, 1.5), (40, 40.0)])
+    def test_residual_column_unchanged(self, n, rabi):
+        row = run(make_spec(grids={"n_atoms": [n], "rabi": [rabi]})).rows[0]
+        params = ModelParams(n_atoms=n, rabi=rabi)
+        state = steady_state(params)
+        assert row["residual"] == float(
+            np.max(np.abs(liouvillian_rhs(state, params)))
+        )
+
+
+class TestThreads:
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_rejects_fewer_than_one(self, threads):
+        with pytest.raises(ConfigError, match="threads"):
+            run(make_spec(), threads=threads)
