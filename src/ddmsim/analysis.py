@@ -14,9 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
-POPULATION = "population"
-EMISSION_RATE = "emission_rate"
-
 
 class FitConvergenceError(RuntimeError):
     """Least-squares fit did not converge; carries the best iterate."""
@@ -32,11 +29,10 @@ class UnderdeterminedFitError(ValueError):
 
 @dataclass
 class TimeTrace:
-    """Sampled observable trace, times in units of 1/gamma."""
+    """Sampled population trace, times in units of 1/gamma."""
 
     times: np.ndarray
     values: np.ndarray
-    kind: str = POPULATION
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -48,8 +44,6 @@ class TimeTrace:
             )
         if self.times.size >= 2 and np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
-        if self.kind not in (POPULATION, EMISSION_RATE):
-            raise ValueError(f"unknown trace kind {self.kind!r}")
 
     @property
     def span(self) -> float:
@@ -125,8 +119,6 @@ def fit_omega_eff(trace: TimeTrace, gamma: float = 1.0) -> FitResult:
     The initial Rabi guess comes from the first local maximum of the
     trace (pi/t_peak); the decay starts at the single-atom value.
     """
-    if trace.kind != POPULATION:
-        raise ValueError(f"expected a population trace, got kind={trace.kind!r}")
     if trace.times.size < 10:
         raise ValueError(f"need at least 10 samples, got {trace.times.size}")
     if trace.span < 1.0 / gamma:

@@ -167,6 +167,17 @@ def _run_sweep_command(args, mode: str) -> int:
     return 0
 
 
+def _write_json(out: dict, path: str | None) -> int:
+    """Write a fit result as indented JSON to path, or to stdout."""
+    text = json.dumps(out, indent=2) + "\n"
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
 def _run_fit_omega_eff(args) -> int:
     table = _read_table(args.input)
     for t_col in ("t", "time", "times"):
@@ -185,13 +196,7 @@ def _run_fit_omega_eff(args) -> int:
         "omega_eff_stderr": float(np.sqrt(fit.covariance[0, 0])),
         "decay_stderr": float(np.sqrt(fit.covariance[1, 1])),
     }
-    text = json.dumps(out, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_json(out, args.out)
 
 
 def _run_fit_alpha(args) -> int:
@@ -200,13 +205,7 @@ def _run_fit_alpha(args) -> int:
         raise ConfigError(f"{args.input}: need n_atoms and gamma_sr columns")
     alpha, prefactor, stderr = fit_power_law(table["n_atoms"], table["gamma_sr"])
     out = {"alpha": alpha, "prefactor": prefactor, "alpha_stderr": stderr}
-    text = json.dumps(out, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_json(out, args.out)
 
 
 def main(argv=None) -> int:

@@ -10,13 +10,17 @@ wavelength (k = 2*pi).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.integrate import quad
 
-TWO_PI = 2.0 * np.pi
-SINGLE_DIPOLE_POWER = 8.0 * np.pi / 3.0  # integral of the dipole pattern over 4pi
+TWO_PI = 2.0 * math.pi
+# Integral over 4pi of the circularly polarized dipole pattern
+# (1 + cos^2(phi) sin^2(theta))/2, theta measured from the drive axis.
+SINGLE_DIPOLE_POWER = 8.0 * math.pi / 3.0
+# Largest cloud size (in wavelengths) whose (k ell)^2 is a finite float.
+MAX_SIZE = math.sqrt(sys.float_info.max) / TWO_PI
 
 
 class QuadratureError(RuntimeError):
@@ -34,51 +38,18 @@ class CloudGeometry:
 
     ell_ax: float
     ell_rad: float
-    drive_axis: tuple = (1.0, 0.0, 0.0)
-    k: float = TWO_PI
 
     def __post_init__(self):
+        sizes = f"ell_ax={self.ell_ax}, ell_rad={self.ell_rad}"
         if self.ell_ax <= 0 or self.ell_rad <= 0:
-            raise ValueError(
-                f"cloud sizes must be > 0, got ell_ax={self.ell_ax}, "
-                f"ell_rad={self.ell_rad}"
-            )
+            raise ValueError(f"cloud sizes must be > 0, got {sizes}")
         if not (math.isfinite(self.ell_ax) and math.isfinite(self.ell_rad)):
+            raise ValueError(f"cloud sizes must be finite, got {sizes}")
+        if max(self.ell_ax, self.ell_rad) > MAX_SIZE:
             raise ValueError(
-                f"cloud sizes must be finite, got ell_ax={self.ell_ax}, "
-                f"ell_rad={self.ell_rad}"
+                f"cloud sizes must be <= {MAX_SIZE:.6g} wavelengths, beyond "
+                f"which (k ell)^2 overflows, got {sizes}"
             )
-        axis = np.asarray(self.drive_axis, dtype=float)
-        norm = np.linalg.norm(axis)
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"drive_axis must be a unit vector, |axis| = {norm}")
-        self.drive_axis = tuple(axis)
-
-
-def dipole_pattern(theta: float, phi: float):
-    """Radiated intensity pattern of a circularly polarized dipole.
-
-    (1 + cos^2(phi) sin^2(theta))/2, with theta the polar angle from the
-    quantization (drive) axis. Ranges over [1/2, 1]; integrates to
-    8*pi/3 over the full solid angle.
-    """
-    return 0.5 * (1.0 + np.cos(phi) ** 2 * np.sin(theta) ** 2)
-
-
-def structure_factor(q, geom: CloudGeometry) -> float:
-    """Squared Fourier transform of the Gaussian density at wavevector q.
-
-    q is the difference between the emission and drive wavevectors. For
-    r.m.s. sizes ell along the axis and ell_rad transverse, the closed
-    form is exp(-q_par^2 ell_ax^2 - q_perp^2 ell_rad^2).
-    """
-    q = np.asarray(q, dtype=float)
-    axis = np.asarray(geom.drive_axis)
-    q_par = float(q @ axis)
-    q_perp_sq = float(q @ q) - q_par**2
-    return float(
-        np.exp(-(q_par**2) * geom.ell_ax**2 - q_perp_sq * geom.ell_rad**2)
-    )
 
 
 def _forward_lobe_integrand(u: float, rad_sq: float, ax_sq: float) -> float:
@@ -101,10 +72,11 @@ def coherent_power(geom: CloudGeometry, rel_tol: float = 1e-10) -> float:
     backward cones). The adaptive quadrature is given those edges as
     breakpoints.
     """
-    rad_sq = (geom.k * geom.ell_rad) ** 2
-    ax_sq = (geom.k * geom.ell_ax) ** 2
-    ax_width = 10.0 / (geom.k * geom.ell_ax)
-    rad_width = 10.0 / (2.0 * rad_sq)
+    rad_sq = (TWO_PI * geom.ell_rad) ** 2
+    ax_sq = (TWO_PI * geom.ell_ax) ** 2
+    ax_width = 10.0 / (TWO_PI * geom.ell_ax)
+    # A radial (k ell_rad)^2 that underflows to 0 has no cone edge.
+    rad_width = 10.0 / (2.0 * rad_sq) if rad_sq else math.inf
     front = min(ax_width, rad_width)
     breakpoints = sorted(
         b for b in (front, 2.0 - rad_width) if 0.0 < b < 2.0
@@ -119,7 +91,7 @@ def coherent_power(geom: CloudGeometry, rel_tol: float = 1e-10) -> float:
         epsrel=rel_tol,
         limit=200,
     )
-    result = np.pi * val
+    result = math.pi * val
     if err > 1e-8 * abs(val):
         raise QuadratureError(
             f"coherent-power quadrature reached relative error {err / abs(val):.3e}",

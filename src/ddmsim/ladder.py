@@ -32,10 +32,6 @@ class NonConvergenceError(RuntimeError):
         self.last_time = last_time
 
 
-class DegenerateSteadyStateError(RuntimeError):
-    """The Liouvillian null space has dimension > 1."""
-
-
 class UndefinedCorrelationError(ValueError):
     """g2(0) requested for a state with vanishing emission rate."""
 
@@ -77,40 +73,8 @@ class DickeLadderState:
         state.rho[0, 0] = 1.0
         return state
 
-    @classmethod
-    def uniform_diagonal(cls, n_atoms: int) -> "DickeLadderState":
-        """Fully saturated ladder: rho_{m,m} = 1/(N+1)."""
-        state = cls(n_atoms)
-        np.fill_diagonal(state.rho, 1.0 / (n_atoms + 1))
-        return state
-
-    @property
-    def spin(self) -> float:
-        return self.n_atoms / 2.0
-
-    def m_values(self) -> np.ndarray:
-        return np.arange(self.n_atoms + 1) - self.spin
-
     def trace(self) -> float:
         return float(np.real(np.trace(self.rho)))
-
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.rho - self.rho.conj().T)))
-
-    def min_eigenvalue(self) -> float:
-        herm = 0.5 * (self.rho + self.rho.conj().T)
-        return float(np.linalg.eigvalsh(herm)[0])
-
-    def check(self, trace_tol=1e-10, herm_tol=1e-12, psd_tol=1e-8):
-        """Raise if the state violates its physical invariants."""
-        if abs(self.trace() - 1.0) > trace_tol:
-            raise ValueError(f"trace deviates from 1 by {self.trace() - 1.0:.3e}")
-        if self.hermiticity_defect() > herm_tol:
-            raise ValueError(
-                f"hermiticity defect {self.hermiticity_defect():.3e} > {herm_tol:.1e}"
-            )
-        if self.min_eigenvalue() < -psd_tol:
-            raise ValueError(f"negative eigenvalue {self.min_eigenvalue():.3e}")
 
 
 @dataclass
@@ -119,8 +83,8 @@ class ObservableSet:
 
     s_z is the normalized magnetization <S_z>/S in [-1, 1] (ground state
     -> -1), n_e the excited-state fraction, dipole the complex <S->,
-    gamma_sr the collective emission rate gamma*<S+ S->, and
-    g2_numerator the fourth-order moment <S+ S+ S- S->.
+    gamma_sr = <S+ S->, the collective emission rate in units of gamma,
+    and g2_numerator the fourth-order moment <S+ S+ S- S->.
     """
 
     s_z: float
@@ -246,16 +210,14 @@ def _superoperator(params: ModelParams) -> sparse.csr_matrix:
     return liou.tocsr()
 
 
-def _solve_with_trace_row(liou, dim, row):
-    """Solve L v = 0 with the given row replaced by the trace condition."""
-    d2 = dim * dim
+def _solve_with_trace_row(liou, dim):
+    """Solve L v = 0 with the first row replaced by the trace condition."""
     mat = liou.tolil(copy=True)
-    trace_cols = np.arange(dim) * dim + np.arange(dim)
-    mat[row, :] = 0.0
-    for c in trace_cols:
-        mat[row, c] = 1.0
-    b = np.zeros(d2, dtype=complex)
-    b[row] = 1.0
+    mat[0, :] = 0.0
+    for c in np.arange(dim) * (dim + 1):
+        mat[0, c] = 1.0
+    b = np.zeros(dim * dim, dtype=complex)
+    b[0] = 1.0
     return spla.spsolve(mat.tocsc(), b)
 
 
@@ -303,65 +265,33 @@ def steady_state(params: ModelParams, resid_tol: float = 1e-10) -> DickeLadderSt
 
     Resonant drive (detuning == 0) takes the closed form of
     `_resonant_steady_rho`, O(N^2) in time and memory, tested up to
-    N = 2000 at beta = 0.01..100; a Liouvillian residual above resid_tol
-    (or a non-finite one) raises a RuntimeError. Detuned drive has no
-    such closed form: it solves the
-    trace-constrained linear system for the null vector of the
-    Liouvillian, a sparse LU of an (N+1)^2-dimensional system, tested up
-    to N = 100. Solving with two different trace-row placements detects
-    a degenerate (dimension > 1) null space, which would make the steady
-    state ambiguous. The returned state carries the residual max |L rho|
-    of that check in its `residual` field.
+    N = 2000 at beta = 0.01..100. Detuned drive has no such closed form:
+    it solves the trace-constrained linear system for the null vector of
+    the Liouvillian, one sparse LU of an (N+1)^2-dimensional system.
+    Either way a Liouvillian residual max |L rho| above resid_tol (or a
+    non-finite one) raises a RuntimeError; the returned state carries
+    that residual in its `residual` field.
     """
     n = params.n_atoms
-    dim = n + 1
     if params.rabi == 0.0:
         # The undriven ground state is dark: L rho = 0 exactly.
         state = DickeLadderState.ground(n)
         state.residual = 0.0
         return state
     if params.detuning == 0.0:
-        state = DickeLadderState(n, _resonant_steady_rho(params))
-        state.residual = _residual(state, params)
-        if not state.residual <= resid_tol:
-            raise RuntimeError(
-                f"closed-form steady-state residual {state.residual:.3e} "
-                f"exceeds {resid_tol:.1e}"
-            )
-        return state
-
-    liou = _superoperator(params)
-    v0 = _solve_with_trace_row(liou, dim, row=0)
-    v1 = _solve_with_trace_row(liou, dim, row=dim * dim - 1)
-    if np.max(np.abs(v0 - v1)) > 1e-8:
-        raise DegenerateSteadyStateError(
-            "steady state depends on the trace-row placement: "
-            "the Liouvillian null space has dimension > 1"
-        )
-
-    rho = v0.reshape(dim, dim, order="F")
-    rho = 0.5 * (rho + rho.conj().T)
-    rho /= np.real(np.trace(rho))
-    state = DickeLadderState(n, rho)
-
-    resid = _residual(state, params)
-    if resid > resid_tol:
-        # Ill-conditioned solve; fall back to long-time integration.
-        t_relax = 50.0 / (params.beta * params.gamma * n) + 20.0 / params.gamma
-        _, states = evolve(
-            DickeLadderState.ground(n), params, t_relax, tol=1e-12
-        )
-        state = states[-1]
-        rho = 0.5 * (state.rho + state.rho.conj().T)
+        rho = _resonant_steady_rho(params)
+    else:
+        dim = n + 1
+        v = _solve_with_trace_row(_superoperator(params), dim)
+        rho = v.reshape(dim, dim, order="F")
+        rho = 0.5 * (rho + rho.conj().T)
         rho /= np.real(np.trace(rho))
-        state = DickeLadderState(n, rho)
-        resid = _residual(state, params)
-        if resid > resid_tol:
-            raise NonConvergenceError(
-                f"steady-state residual {resid:.3e} exceeds {resid_tol:.1e}",
-                last_time=t_relax,
-            )
-    state.residual = resid
+    state = DickeLadderState(n, rho)
+    state.residual = _residual(state, params)
+    if not state.residual <= resid_tol:
+        raise RuntimeError(
+            f"steady-state residual {state.residual:.3e} exceeds {resid_tol:.1e}"
+        )
     return state
 
 
@@ -372,12 +302,12 @@ def observables(state: DickeLadderState) -> ObservableSet:
     the ladder coefficients.
     """
     n = state.n_atoms
-    s = state.spin
+    s = n / 2.0
     a = _coupling_array(n)
     am1 = np.concatenate(([0.0], a[:-1]))
     am2 = np.concatenate(([0.0, 0.0], a[:-2]))
     pops = np.real(np.diag(state.rho))
-    m = state.m_values()
+    m = np.arange(n + 1) - s
 
     s_z = float(np.sum(m * pops) / s)
     n_e = 0.5 * (s_z + 1.0)

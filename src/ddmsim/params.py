@@ -32,8 +32,3 @@ class ModelParams:
     def beta(self) -> float:
         """Drive-to-collective-dissipation ratio 2*rabi/(N*gamma)."""
         return 2.0 * self.rabi / (self.n_atoms * self.gamma)
-
-    @property
-    def spin(self) -> float:
-        """Total spin S = N/2 of the symmetric ladder."""
-        return self.n_atoms / 2.0

@@ -35,7 +35,6 @@ from ddmsim.ladder import (
 )
 from ddmsim.meanfield import solve_x, _screening_residual
 from ddmsim.geometry import CloudGeometry, cooperativity_mu
-from ddmsim.analysis import TimeTrace
 
 SCHEMA_VERSION = 1
 
@@ -169,21 +168,6 @@ class SweepResult:
     metadata: dict
     columns: list
     rows: list
-
-
-def steady_window_average(trace: TimeTrace, window: float) -> float:
-    """Mean of the trace over the final time window."""
-    if window <= 0:
-        raise ValueError(f"window must be > 0, got {window}")
-    if window > trace.span:
-        raise ValueError(
-            f"window {window:.3g} exceeds trace span {trace.span:.3g}"
-        )
-    t_end = trace.times[-1]
-    mask = trace.times >= t_end - window
-    if not np.any(mask):
-        raise ValueError("no samples in the averaging window")
-    return float(np.mean(trace.values[mask]))
 
 
 def _dynamics_rows(point, tol, settings):

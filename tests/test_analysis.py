@@ -2,17 +2,15 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from ddmsim import (
-    DickeLadderState,
-    ModelParams,
+from ddmsim.analysis import (
     TimeTrace,
-    evolve,
+    UnderdeterminedFitError,
     fit_omega_eff,
     fit_power_law,
     obe_excited_population,
-    observables,
 )
-from ddmsim.analysis import UnderdeterminedFitError
+from ddmsim.ladder import DickeLadderState, evolve, observables
+from ddmsim.params import ModelParams
 
 
 def obe_integrate(omega, gamma, times):
@@ -127,12 +125,6 @@ class TestFitOmegaEff:
             fit_omega_eff(
                 TimeTrace(times=t, values=obe_excited_population(3.0, 1.0, t))
             )
-
-    def test_rejects_wrong_kind(self):
-        t = np.linspace(0, 5, 50)
-        trace = TimeTrace(times=t, values=np.linspace(0, 1, 50), kind="emission_rate")
-        with pytest.raises(ValueError):
-            fit_omega_eff(trace)
 
 
 class TestTimeTrace:

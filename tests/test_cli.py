@@ -180,7 +180,7 @@ class TestSweepCommands:
 
 class TestFitCommands:
     def test_fit_omega_eff_round_trip(self, capsys, tmp_path):
-        from ddmsim import obe_excited_population
+        from ddmsim.analysis import obe_excited_population
 
         t = np.linspace(0.0, 10.0, 200)
         path = tmp_path / "trace.csv"

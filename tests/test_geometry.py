@@ -2,32 +2,49 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 
-from ddmsim import (
+from ddmsim.geometry import (
+    MAX_SIZE,
+    SINGLE_DIPOLE_POWER,
+    TWO_PI,
     CloudGeometry,
+    _forward_lobe_integrand,
     coherent_power,
     cooperativity_mu,
-    dipole_pattern,
-    structure_factor,
 )
-from ddmsim.geometry import SINGLE_DIPOLE_POWER, TWO_PI
+from ddmsim.sweep import _eval_point
+
+
+def envelope(u, geom):
+    """Structure factor |F(q)|^2 = exp(-q_par^2 ell_ax^2 - q_perp^2 ell_rad^2)
+    of the cloud for emission at u = 1 - cos(theta), q = k(n - x_hat),
+    read off the coherent-power integrand by dividing out its angular
+    factor."""
+    rad_sq, ax_sq = (TWO_PI * geom.ell_rad) ** 2, (TWO_PI * geom.ell_ax) ** 2
+    return _forward_lobe_integrand(u, rad_sq, ax_sq) / _forward_lobe_integrand(
+        u, 0.0, 0.0
+    )
 
 
 class TestDipolePattern:
+    # At zero cloud size the integrand is 1 + sin^2(theta)/2, twice the
+    # phi-average of the pattern (1 + cos^2(phi) sin^2(theta))/2.
     def test_on_axis(self):
-        for phi in (0.0, 1.0, np.pi):
-            assert dipole_pattern(0.0, phi) == pytest.approx(0.5, abs=1e-15)
+        for u in (0.0, 2.0):
+            assert _forward_lobe_integrand(u, 0.0, 0.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_equatorial_maximum(self):
-        assert dipole_pattern(np.pi / 2, 0.0) == pytest.approx(1.0, abs=1e-15)
+        assert _forward_lobe_integrand(1.0, 0.0, 0.0) == 1.5
 
     def test_range(self):
         rng = np.random.default_rng(0)
-        for theta, phi in rng.uniform(0, np.pi, size=(50, 2)):
-            assert 0.5 <= dipole_pattern(theta, phi) <= 1.0
+        for u in rng.uniform(0.0, 2.0, size=50):
+            assert 1.0 <= _forward_lobe_integrand(u, 0.0, 0.0) <= 1.5
 
     def test_total_power(self):
         val, _ = dblquad(
-            lambda theta, phi: dipole_pattern(theta, phi) * np.sin(theta),
+            lambda theta, phi: 0.5
+            * (1.0 + np.cos(phi) ** 2 * np.sin(theta) ** 2)
+            * np.sin(theta),
             0.0,
             2 * np.pi,
             0.0,
@@ -40,40 +57,38 @@ class TestDipolePattern:
 class TestStructureFactor:
     def test_forward_scattering(self):
         geom = CloudGeometry(ell_ax=10.0, ell_rad=0.5)
-        assert structure_factor([0.0, 0.0, 0.0], geom) == 1.0
+        assert envelope(0.0, geom) == 1.0
 
     def test_axial_width(self):
+        # q_par = -k u; e^-1 where k u ell_ax = 1 (radial factor divided out).
         geom = CloudGeometry(ell_ax=4.0, ell_rad=0.5)
-        assert structure_factor([1.0 / 4.0, 0.0, 0.0], geom) == pytest.approx(
-            np.exp(-1.0), rel=1e-12
-        )
+        u = 1.0 / (TWO_PI * 4.0)
+        radial = np.exp(-((TWO_PI * 0.5) ** 2) * u * (2.0 - u))
+        assert envelope(u, geom) / radial == pytest.approx(np.exp(-1.0), rel=1e-12)
 
     def test_radial_width(self):
+        # q_perp = k sin(theta); e^-1 where k sin(theta) ell_rad = 1.
         geom = CloudGeometry(ell_ax=4.0, ell_rad=0.5)
-        assert structure_factor([0.0, 2.0, 0.0], geom) == pytest.approx(
-            np.exp(-1.0), rel=1e-12
-        )
+        u = 1.0 - np.sqrt(1.0 - 1.0 / (TWO_PI * 0.5) ** 2)
+        axial = np.exp(-((TWO_PI * 4.0 * u) ** 2))
+        assert envelope(u, geom) / axial == pytest.approx(np.exp(-1.0), rel=1e-12)
 
     def test_transverse_emission_negligible(self):
-        # Emission perpendicular to the drive: q = k(yhat - xhat).
+        # Emission perpendicular to the drive: u = 1.
         geom = CloudGeometry(ell_ax=22.5, ell_rad=0.5)
-        q = np.array([-geom.k, geom.k, 0.0])
-        assert structure_factor(q, geom) < 1e-300
+        assert envelope(1.0, geom) < 1e-300
 
     def test_bounded_by_one(self):
         geom = CloudGeometry(ell_ax=3.0, ell_rad=0.7)
         rng = np.random.default_rng(1)
-        for q in rng.normal(size=(50, 3)):
-            val = structure_factor(q, geom)
-            assert 0.0 < val <= 1.0
-            if np.linalg.norm(q) > 1e-6:
-                assert val < 1.0
+        for u in rng.uniform(1e-6, 0.05, size=50):
+            assert 0.0 < envelope(u, geom) < 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
             CloudGeometry(ell_ax=0.0, ell_rad=1.0)
-        with pytest.raises(ValueError):
-            CloudGeometry(ell_ax=1.0, ell_rad=1.0, drive_axis=(1.0, 1.0, 0.0))
+        with pytest.raises(ValueError, match="overflows"):
+            CloudGeometry(ell_ax=1.0, ell_rad=2.0 * MAX_SIZE)
 
 
 class TestCoherentPower:
@@ -166,3 +181,33 @@ class TestSingleExponentIntegrand:
             CloudGeometry(ell_ax=bad, ell_rad=0.5)
         with pytest.raises(ValueError):
             CloudGeometry(ell_ax=0.5, ell_rad=bad)
+
+
+class TestExtremeSizes:
+    @staticmethod
+    def mu_row(ell_ax, ell_rad):
+        (row,) = _eval_point(
+            ("cooperativity", {"ell_ax": ell_ax, "ell_rad": ell_rad}, 1e-8, {})
+        )
+        return row
+
+    def test_underflowing_radius_is_point_cloud_in_radius(self):
+        # (k ell_rad)^2 underflows to 0 below ~1e-155; the radial factor
+        # is then 1 to the last bit, as it already is at 1e-150.
+        row = self.mu_row(1.0, 1e-320)
+        assert row["status"] == "ok"
+        assert row["mu"] == self.mu_row(1.0, 1e-150)["mu"]
+        assert row["mu"] == pytest.approx(0.0573072565, rel=1e-9)
+
+    def test_long_pencil_law_up_to_largest_size(self):
+        # mu ~ 1/ell_ax for a long pencil holds up to the size limit.
+        row = self.mu_row(MAX_SIZE, 0.5)
+        assert row["status"] == "ok"
+        want = self.mu_row(1e150, 0.5)["mu"] * 1e150 / MAX_SIZE
+        assert row["mu"] == pytest.approx(want, rel=1e-6)
+
+    @pytest.mark.parametrize("ell_ax, ell_rad", [(1e200, 0.5), (1.0, 1e154)])
+    def test_overflowing_size_is_error_row(self, ell_ax, ell_rad):
+        row = self.mu_row(ell_ax, ell_rad)
+        assert row["status"].startswith("error: cloud sizes must be <= 2.13392e+153")
+        assert f"ell_ax={ell_ax}, ell_rad={ell_rad}" in row["status"]

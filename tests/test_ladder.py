@@ -3,23 +3,38 @@ import math
 import numpy as np
 import pytest
 
-from ddmsim import (
+from ddmsim.ladder import (
     DickeLadderState,
-    ModelParams,
+    UndefinedCorrelationError,
+    _coupling_array,
+    _solve_with_trace_row,
+    _superoperator,
     evolve,
     g2_zero,
     liouvillian_rhs,
     observables,
     steady_state,
 )
-from ddmsim.ladder import (
-    UndefinedCorrelationError,
-    _coupling_array,
-    _solve_with_trace_row,
-    _superoperator,
-)
 from ddmsim.analysis import obe_excited_population
 from ddmsim.oracle import FullState, full_evolve, project_to_ladder
+from ddmsim.params import ModelParams
+
+
+def uniform_diagonal(n_atoms):
+    """Fully saturated ladder: rho_{m,m} = 1/(N+1)."""
+    return DickeLadderState(n_atoms, np.eye(n_atoms + 1) / (n_atoms + 1))
+
+
+def hermiticity_defect(state):
+    return float(np.max(np.abs(state.rho - state.rho.conj().T)))
+
+
+def check_state(state, trace_tol, herm_tol, psd_tol):
+    """Assert the physical invariants: unit trace, Hermitian, PSD."""
+    assert abs(state.trace() - 1.0) <= trace_tol
+    assert hermiticity_defect(state) <= herm_tol
+    herm = 0.5 * (state.rho + state.rho.conj().T)
+    assert np.linalg.eigvalsh(herm)[0] >= -psd_tol
 
 
 def random_density_matrix(n, seed):
@@ -160,7 +175,7 @@ class TestEvolve:
             n_samples=21,
         )
         for state in states:
-            state.check(trace_tol=1e-7, herm_tol=1e-8, psd_tol=1e-7)
+            check_state(state, trace_tol=1e-7, herm_tol=1e-8, psd_tol=1e-7)
 
     def test_detuned_matches_full_space_oracle(self):
         for n in (2, 3):
@@ -213,14 +228,14 @@ class TestSteadyState:
         params = ModelParams(n_atoms=n, rabi=rabi)
         state = steady_state(params)
         assert np.max(np.abs(liouvillian_rhs(state, params))) < 1e-10
-        state.check(trace_tol=1e-10, herm_tol=1e-12, psd_tol=1e-8)
+        check_state(state, trace_tol=1e-10, herm_tol=1e-12, psd_tol=1e-8)
 
     def test_resonant_closed_form_matches_sparse_lu(self):
         # The sparse trace-row solve that resonant drive used before the
         # closed form, kept as the reference.
         def lu_state(params):
             dim = params.n_atoms + 1
-            v = _solve_with_trace_row(_superoperator(params), dim, row=0)
+            v = _solve_with_trace_row(_superoperator(params), dim)
             rho = v.reshape(dim, dim, order="F")
             rho = 0.5 * (rho + rho.conj().T)
             return rho / np.real(np.trace(rho))
@@ -246,7 +261,7 @@ class TestSteadyState:
                 label = (n, beta)
                 assert np.all(np.isfinite(state.rho)), label
                 assert abs(state.trace() - 1.0) <= 1e-10, label
-                assert state.hermiticity_defect() == 0.0, label
+                assert hermiticity_defect(state) == 0.0, label
                 assert np.max(np.abs(liouvillian_rhs(state, params))) <= 1e-10, label
                 obs = observables(state)
                 if beta <= 0.3:
@@ -259,6 +274,10 @@ class TestSteadyState:
     def test_resonant_residual_check_raises(self):
         with pytest.raises(RuntimeError, match="residual"):
             steady_state(ModelParams(n_atoms=40, rabi=30.0), resid_tol=1e-300)
+
+    def test_detuned_residual_check_raises(self):
+        with pytest.raises(RuntimeError, match="residual"):
+            steady_state(ModelParams(n_atoms=3, rabi=0.7, detuning=0.9), resid_tol=1e-30)
 
     def test_detuned_matches_full_space_oracle(self):
         # Detuned drive has no closed form and takes the sparse solve;
@@ -299,7 +318,7 @@ class TestObservables:
         assert obs.gamma_sr == 0.0
 
     def test_uniform_diagonal(self):
-        obs = observables(DickeLadderState.uniform_diagonal(10))
+        obs = observables(uniform_diagonal(10))
         assert obs.gamma_sr == pytest.approx(20.0, abs=1e-12)
 
     def test_single_excitation_enhancement(self):
@@ -342,11 +361,11 @@ class TestG2:
 
     def test_uniform_diagonal_frozen_value(self):
         # Matrix-product oracle: <S+S+S-S-> = 468, <S+S-> = 20 at N = 10.
-        state = DickeLadderState.uniform_diagonal(10)
+        state = uniform_diagonal(10)
         assert g2_zero(state) == pytest.approx(468.0 / 400.0, abs=1e-12)
 
     def test_strong_drive_approaches_uniform_limit(self):
-        target = g2_zero(DickeLadderState.uniform_diagonal(10))
+        target = g2_zero(uniform_diagonal(10))
         gaps = [
             abs(g2_zero(steady_state(ModelParams(n_atoms=10, rabi=w))) - target)
             for w in (20.0, 50.0, 100.0)

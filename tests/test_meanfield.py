@@ -3,25 +3,68 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from ddmsim import (
-    DickeLadderState,
-    MeanFieldState,
-    ModelParams,
-    critical_drive,
-    evolve,
-    mf_evolve,
-    mf_rhs,
-    mf_steady,
-    observables,
-    omega_eff,
-    solve_x,
-)
+from ddmsim.ladder import DickeLadderState, evolve, observables
 from ddmsim.meanfield import (
     ABOVE_THRESHOLD,
     BELOW_THRESHOLD,
+    MeanFieldState,
     _screening_residual,
+    mf_steady,
+    solve_x,
 )
+from ddmsim.params import ModelParams
+
+
+def mf_ground(n_atoms):
+    return MeanFieldState(dipole=0.0, sz=-n_atoms / 2.0, n_atoms=n_atoms)
+
+
+def spin_length_sq(state):
+    return abs(state.dipole) ** 2 + state.sz**2
+
+
+def mf_rhs(state, params):
+    """(d<S->/dt, d<S_z>/dt) of the spin-conserving semi-classical model.
+
+    Valid for resonant drive with <S_x> = 0, where the dipole is purely
+    imaginary and i*rabi*<S-> is real.
+    """
+    omega = params.rabi
+    gamma = params.gamma
+    n = state.n_atoms
+    d_dipole = (1j * omega + gamma * state.dipole) * state.sz
+    d_sz = np.real(1j * omega * state.dipole) - gamma * (n**2 / 4.0 - state.sz**2)
+    return d_dipole, float(d_sz)
+
+
+def mf_evolve(state0, params, t_final, tol=1e-10, n_samples=None):
+    """Integrate the semi-classical equations from state0 to t_final;
+    the semi-classical reference for the ladder dynamics.
+
+    Returns (times, states). The spin length is conserved by the
+    equations, so a trajectory started on the Bloch sphere stays on it
+    to within the integration tolerance.
+    """
+    n = state0.n_atoms
+
+    def rhs(_t, y):
+        state = MeanFieldState(dipole=y[0] + 1j * y[1], sz=y[2], n_atoms=n)
+        d_dipole, d_sz = mf_rhs(state, params)
+        return [d_dipole.real, d_dipole.imag, d_sz]
+
+    y0 = [state0.dipole.real, state0.dipole.imag, state0.sz]
+    t_eval = np.linspace(0.0, t_final, n_samples) if n_samples else None
+    sol = solve_ivp(
+        rhs, (0.0, t_final), y0, method="RK45", rtol=tol, atol=tol * 1e-2, t_eval=t_eval
+    )
+    assert sol.success, sol.message
+    states = [
+        MeanFieldState(dipole=sol.y[0, k] + 1j * sol.y[1, k], sz=sol.y[2, k], n_atoms=n)
+        for k in range(len(sol.t))
+    ]
+    return sol.t, states
 
 
 def bisect_x(beta, n, iters=200):
@@ -55,7 +98,7 @@ class TestMfRhs:
 
     def test_undriven_ground_fixed_point(self):
         params = ModelParams(n_atoms=10, rabi=0.0)
-        state = MeanFieldState.ground(10)
+        state = mf_ground(10)
         d_dipole, d_sz = mf_rhs(state, params)
         assert abs(d_dipole) == 0.0
         assert d_sz == 0.0
@@ -97,15 +140,16 @@ class TestMfSteady:
     def test_spin_length_on_sphere(self):
         for beta in (0.4, 1.0, 3.0):
             state = mf_steady(beta, 8.0)
-            assert state.spin_length_sq() <= 16.0 + 1e-9
+            assert spin_length_sq(state) <= 16.0 + 1e-9
 
 
 class TestOmegaEff:
+    # The effective drive inside the cloud is omega - i*gamma*<S->.
     def test_perfect_screening(self):
-        assert omega_eff(3.0, -3.0j) == pytest.approx(0.0, abs=1e-15)
-
-    def test_no_dipole(self):
-        assert omega_eff(2.5, 0.0) == 2.5
+        # Below threshold the locked dipole -i*rabi/gamma cancels the drive.
+        n, beta = 10.0, 0.6
+        rabi = 0.5 * beta * n
+        assert rabi - 1j * mf_steady(beta, n).dipole == pytest.approx(0.0, abs=1e-15)
 
     def test_consistent_with_screening_solver(self):
         # The fixed-point dipole gives |w_eff|/w_c = beta - 1/beta while
@@ -114,7 +158,7 @@ class TestOmegaEff:
         # the bare drive.
         n, beta = 1e6, 20.0
         rabi = 0.5 * beta * n
-        w_eff = abs(omega_eff(rabi, mf_steady(beta, n).dipole))
+        w_eff = abs(rabi - 1j * mf_steady(beta, n).dipole)
         x_drive = 0.5 * n * solve_x(beta, n).x
         assert w_eff <= x_drive <= rabi
         assert w_eff == pytest.approx(rabi, rel=5e-3)
@@ -122,18 +166,22 @@ class TestOmegaEff:
 
 
 class TestCriticalDrive:
+    # The critical drive rabi_c = N*gamma/2 is where ModelParams.beta = 1.
     def test_values(self):
-        assert critical_drive(10.0) == 5.0
-        assert critical_drive(7.0) == 3.5
+        assert ModelParams(n_atoms=10, rabi=5.0).beta == 1.0
+        assert ModelParams(n_atoms=7, rabi=3.5).beta == 1.0
+        assert ModelParams(n_atoms=8, rabi=10.0, gamma=2.5).beta == 1.0
 
     def test_round_trip_beta_one(self):
-        n = 9.0
-        rabi = critical_drive(n)
-        assert 2 * rabi / n == 1.0
+        # phase_diagram drives at rabi = beta*N/2 and reports beta.
+        for n in (1, 9, 140):
+            assert ModelParams(n_atoms=n, rabi=0.5 * 1.0 * n).beta == 1.0
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            critical_drive(0.0)
+        for bad in ({"n_atoms": 0, "rabi": 1.0}, {"n_atoms": 4, "rabi": -1.0},
+                    {"n_atoms": 4, "rabi": 1.0, "gamma": 0.0}):
+            with pytest.raises(ValueError):
+                ModelParams(**bad)
 
 
 class TestSolveX:
@@ -175,7 +223,7 @@ class TestSolveX:
 class TestMfEvolve:
     def test_undriven_ground_constant(self):
         params = ModelParams(n_atoms=10, rabi=0.0)
-        _, states = mf_evolve(MeanFieldState.ground(10.0), params, 5.0)
+        _, states = mf_evolve(mf_ground(10.0), params, 5.0)
         assert abs(states[-1].dipole) < 1e-12
         assert states[-1].sz == pytest.approx(-5.0, abs=1e-10)
 
@@ -183,7 +231,7 @@ class TestMfEvolve:
         n, beta = 50.0, 0.5
         params = ModelParams(n_atoms=50, rabi=0.5 * beta * n)
         t_relax = 20.0 / (n * beta) + 10.0
-        _, states = mf_evolve(MeanFieldState.ground(n), params, t_relax, tol=1e-12)
+        _, states = mf_evolve(mf_ground(n), params, t_relax, tol=1e-12)
         target = mf_steady(beta, n)
         assert abs(states[-1].dipole - target.dipole) < 1e-6
         assert abs(states[-1].sz - target.sz) < 1e-6
@@ -191,8 +239,8 @@ class TestMfEvolve:
     def test_spin_length_conserved(self):
         n = 30.0
         params = ModelParams(n_atoms=30, rabi=10.0)
-        _, states = mf_evolve(MeanFieldState.ground(n), params, 5.0, tol=1e-11)
-        lengths = [s.spin_length_sq() for s in states]
+        _, states = mf_evolve(mf_ground(n), params, 5.0, tol=1e-11)
+        lengths = [spin_length_sq(s) for s in states]
         assert np.max(np.abs(np.array(lengths) - (n / 2) ** 2)) < 1e-6
 
     @pytest.mark.parametrize("beta", [1.5, 2.0])
@@ -204,7 +252,7 @@ class TestMfEvolve:
         n = 10
         params = ModelParams(n_atoms=n, rabi=0.5 * beta * n)
         t, states = mf_evolve(
-            MeanFieldState.ground(float(n)), params, 8.0, tol=1e-10, n_samples=801
+            mf_ground(float(n)), params, 8.0, tol=1e-10, n_samples=801
         )
         ne_mf = np.array([s.sz / n + 0.5 for s in states])
         tq, qstates = evolve(

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from ddmsim import DickeLadderState, ModelParams, evolve, liouvillian_rhs, observables
+from ddmsim.ladder import DickeLadderState, evolve, liouvillian_rhs, observables
 from ddmsim.oracle import (
     FullState,
     full_evolve,
     full_lindblad_rhs,
     project_to_ladder,
 )
+from ddmsim.params import ModelParams
 
 
 def n2_singlet():
