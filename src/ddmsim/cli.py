@@ -29,6 +29,8 @@ from ddmsim.analysis import (
     fit_power_law,
 )
 from ddmsim.sweep import (
+    DEFAULT_TOL,
+    SWEEP_MODES,
     AllPointsFailedError,
     ConfigError,
     SweepSpec,
@@ -39,13 +41,12 @@ from ddmsim.sweep import (
 
 DEFAULT_GAMMA_MHZ = 2.0 * np.pi * 6.0  # rubidium D2 linewidth, angular MHz
 
-_SUBCOMMAND_MODES = {
-    "dynamics": "dynamics",
-    "steady": "steady_state",
-    "phase-diagram": "phase_diagram",
-    "screening": "screening_curve",
-    "mu": "cooperativity",
-}
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a config error (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def _float_list(text: str):
@@ -55,88 +56,89 @@ def _float_list(text: str):
         raise argparse.ArgumentTypeError(f"bad number list {text!r}: {exc}")
 
 
-def _add_common_flags(parser):
-    parser.add_argument("--config", help="JSON sweep configuration file")
-    parser.add_argument("--out", help="output CSV path (default: stdout)")
-    parser.add_argument("--threads", type=int, default=1, help="worker processes")
-    parser.add_argument("--tol", type=float, help="solver tolerance override")
-    parser.add_argument(
-        "--gamma-mhz", type=float, default=DEFAULT_GAMMA_MHZ,
-        help="decay rate in angular MHz, used to convert *_ns settings "
-             "(default 2*pi*6)",
-    )
-
-
-def _add_grid_flags(parser):
-    parser.add_argument("--n-atoms", type=_float_list, help="comma-separated N grid")
-    parser.add_argument("--rabi", type=_float_list, help="comma-separated Rabi grid")
-    parser.add_argument("--beta", type=_float_list, help="comma-separated beta grid")
-    parser.add_argument("--ell-ax", type=_float_list, help="axial sizes (wavelengths)")
-    parser.add_argument("--ell-rad", type=_float_list, help="radial sizes (wavelengths)")
-    parser.add_argument("--t-final", type=float, help="pulse duration in 1/gamma")
-    parser.add_argument("--t-final-ns", type=float, help="pulse duration in ns")
-    parser.add_argument("--n-samples", type=int, help="samples per dynamics trace")
-    parser.add_argument("--outputs", help="comma-separated observable columns")
+def _add_sweep_parser(sub, name: str, mode):
+    """A subcommand with the flags of the grids and settings the mode reads."""
+    p = sub.add_parser(mode.command, help=f"run a {name} sweep")
+    p.set_defaults(run=_run_sweep_command, mode=name)
+    p.add_argument("--config", help="JSON sweep configuration file")
+    p.add_argument("--out", help="output CSV path (default: stdout)")
+    p.add_argument("--threads", type=int, default=1, help="worker processes")
+    p.add_argument("--outputs", help="comma-separated observable columns")
+    for grid in mode.grids:
+        p.add_argument("--" + grid.replace("_", "-"), type=_float_list,
+                       help=f"comma-separated {grid} grid")
+    if "tol" in mode.settings:
+        p.add_argument("--tol", type=float,
+                       help=f"solver tolerance (default {DEFAULT_TOL:g})")
+    if "t_final" in mode.settings:
+        span = p.add_mutually_exclusive_group()
+        span.add_argument("--t-final", type=float, help="pulse duration in 1/gamma")
+        span.add_argument("--t-final-ns", type=float, help="pulse duration in ns")
+        p.add_argument("--gamma-mhz", type=float, default=DEFAULT_GAMMA_MHZ,
+                       help="angular MHz decay rate for --t-final-ns (default 2*pi*6)")
+    if "n_samples" in mode.settings:
+        p.add_argument("--n-samples", type=int, help="samples per dynamics trace")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ddmsim",
-        description="Driven Dicke model simulations and sweeps",
-    )
+    parser = _Parser(prog="ddmsim",
+                     description="Driven Dicke model simulations and sweeps")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, mode in _SUBCOMMAND_MODES.items():
-        p = sub.add_parser(name, help=f"run a {mode} sweep")
-        _add_common_flags(p)
-        _add_grid_flags(p)
+    for name, mode in SWEEP_MODES.items():
+        _add_sweep_parser(sub, name, mode)
 
     p = sub.add_parser("fit-omega-eff", help="fit a damped-Rabi model to a trace")
-    _add_common_flags(p)
+    p.set_defaults(run=_run_fit_omega_eff)
     p.add_argument("--input", required=True, help="CSV with t and n_e columns")
+    p.add_argument("--out", help="output JSON path (default: stdout)")
 
     p = sub.add_parser("fit-alpha", help="power-law exponent of gamma_sr vs N")
-    _add_common_flags(p)
+    p.set_defaults(run=_run_fit_alpha)
     p.add_argument("--input", required=True,
                    help="CSV with n_atoms and gamma_sr columns")
+    p.add_argument("--out", help="output JSON path (default: stdout)")
     return parser
 
 
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}")
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: config root must be an object")
+    return doc
 
 
-def _spec_from_args(args, mode: str) -> SweepSpec:
-    doc = _load_config(args.config) if args.config else {"mode": mode, "grids": {}}
-    doc.setdefault("mode", mode)
-    if doc["mode"] != mode:
-        raise ConfigError(
-            f"config mode {doc['mode']!r} does not match subcommand mode {mode!r}"
-        )
-    doc.setdefault("grids", {})
-    doc.setdefault("settings", {})
-    for grid in ("n_atoms", "rabi", "beta", "ell_ax", "ell_rad"):
-        value = getattr(args, grid)
-        if value is not None:
-            doc["grids"][grid] = value
-    if args.tol is not None:
-        doc["tol"] = args.tol
-    if args.t_final is not None:
-        doc["settings"]["t_final"] = args.t_final
-    if args.t_final_ns is not None:
-        doc["settings"]["t_final"] = args.t_final_ns * 1e-3 * args.gamma_mhz
-    if args.n_samples is not None:
-        doc["settings"]["n_samples"] = args.n_samples
+def _run_sweep_command(args) -> int:
+    doc = _load_config(args.config) if args.config else {}
+    doc.setdefault("mode", args.mode)
+    if doc["mode"] != args.mode:
+        raise ConfigError(f"config mode {doc['mode']!r} does not match "
+                          f"subcommand mode {args.mode!r}")
+    flags = {k: v for k, v in vars(args).items() if v is not None}
+    if "t_final_ns" in flags:
+        flags["t_final"] = flags["t_final_ns"] * 1e-3 * flags["gamma_mhz"]
+    if "tol" in flags:  # a top-level key, not a setting
+        doc["tol"] = flags.pop("tol")
+    mode = SWEEP_MODES[args.mode]
+    for key, names in (("grids", mode.grids), ("settings", mode.settings)):
+        section = doc.setdefault(key, {})
+        if isinstance(section, dict):  # SweepSpec rejects any other type
+            section.update((k, flags[k]) for k in names if k in flags)
     if args.outputs:
         doc["outputs"] = [c.strip() for c in args.outputs.split(",") if c.strip()]
     if args.out is not None:
         doc["output_path"] = args.out
-    return SweepSpec.from_dict(doc)
+    spec = SweepSpec.from_dict(doc)
+    result = run(spec, threads=args.threads)
+    if spec.output_path:
+        write_csv(result, spec.output_path)
+    else:
+        sys.stdout.write(format_csv(result))
+    return 0
 
 
 def _read_table(path: str) -> dict:
@@ -155,16 +157,6 @@ def _read_table(path: str) -> dict:
             except ValueError:
                 cols[name].append(np.nan)
     return {name: np.asarray(vals) for name, vals in cols.items()}
-
-
-def _run_sweep_command(args, mode: str) -> int:
-    spec = _spec_from_args(args, mode)
-    result = run(spec, threads=args.threads)
-    if spec.output_path:
-        write_csv(result, spec.output_path)
-    else:
-        sys.stdout.write(format_csv(result))
-    return 0
 
 
 def _write_json(out: dict, path: str | None) -> int:
@@ -209,16 +201,9 @@ def _run_fit_alpha(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.command in _SUBCOMMAND_MODES:
-            return _run_sweep_command(args, _SUBCOMMAND_MODES[args.command])
-        if args.command == "fit-omega-eff":
-            return _run_fit_omega_eff(args)
-        if args.command == "fit-alpha":
-            return _run_fit_alpha(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        args = build_parser().parse_args(argv)
+        return args.run(args)
     except (FitConvergenceError, UnderdeterminedFitError) as exc:
         print(f"ddmsim: fit failure: {exc}", file=sys.stderr)
         return 2

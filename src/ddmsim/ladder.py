@@ -149,10 +149,10 @@ def evolve(
     the column-major (order="F") stacking of rho. L carries the
     detuning, so detuned drive takes the same path.
     """
-    if t_final <= 0:
-        raise ValueError(f"t_final must be > 0, got {t_final}")
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    if not 0 < t_final < np.inf:
+        raise ValueError(f"t_final must be finite and > 0, got {t_final}")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     n = state0.n_atoms
     if params.n_atoms != n:
         raise ValueError(

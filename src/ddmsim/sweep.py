@@ -37,32 +37,8 @@ from ddmsim.meanfield import solve_x, _screening_residual
 from ddmsim.geometry import CloudGeometry, cooperativity_mu
 
 SCHEMA_VERSION = 1
-
-MODES = {
-    "dynamics": ("n_atoms", "rabi"),
-    "steady_state": ("n_atoms", "rabi"),
-    "phase_diagram": ("n_atoms", "beta"),
-    "screening_curve": ("n_atoms", "beta"),
-    "cooperativity": ("ell_ax", "ell_rad"),
-}
-
-_OBSERVABLE_COLUMNS = {
-    "dynamics": ("t", "n_e", "s_z", "re_dipole", "im_dipole", "gamma_sr"),
-    "steady_state": (
-        "beta", "s_z", "n_e", "re_dipole", "im_dipole", "gamma_sr", "g2",
-    ),
-    "phase_diagram": (
-        "rabi", "s_z", "n_e", "re_dipole", "im_dipole", "gamma_sr", "g2",
-    ),
-    "screening_curve": ("x", "x_asymptote"),
-    "cooperativity": ("mu", "small_angle_estimate"),
-}
-
-_DIAG_COLUMNS = ("residual", "status")
-
-# Modes that solve on the ladder, whose dimension N + 1 needs a whole N;
-# screening_curve takes N as a real (effective) atom number.
-_LADDER_MODES = ("dynamics", "steady_state", "phase_diagram")
+DEFAULT_TOL = 1e-8
+T_FINAL, N_SAMPLES = 10.0, 201  # dynamics settings when not given
 
 
 class ConfigError(ValueError):
@@ -73,11 +49,12 @@ class AllPointsFailedError(RuntimeError):
     """Every point of the sweep failed to solve."""
 
 
-def _is_integral(value) -> bool:
+def _real(value) -> float:
+    """value as a float; nan if it is not a number."""
     try:
-        return float(value).is_integer()
+        return float(value)
     except (TypeError, ValueError):
-        return False
+        return math.nan
 
 
 @dataclass
@@ -88,38 +65,46 @@ class SweepSpec:
     grids: dict
     outputs: list = field(default_factory=list)
     output_path: str | None = None
-    tol: float = 1e-8
+    tol: float = DEFAULT_TOL
     settings: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.mode not in MODES:
+        mode = SWEEP_MODES.get(self.mode) if isinstance(self.mode, str) else None
+        if mode is None:
             raise ConfigError(
-                f"unknown mode {self.mode!r}; expected one of {sorted(MODES)}"
-            )
-        required = MODES[self.mode]
-        for name in required:
+                f"unknown mode {self.mode!r}; expected one of {sorted(SWEEP_MODES)}")
+        shapes = (self.grids, dict), (self.settings, dict), (self.outputs, list)
+        if not all(isinstance(value, kind) for value, kind in shapes):
+            raise ConfigError("grids and settings must be objects, outputs a list")
+        for name in mode.grids:
             grid = self.grids.get(name)
-            if grid is None or len(grid) == 0:
-                raise ConfigError(f"mode {self.mode!r} needs a non-empty grid {name!r}")
-        extra = set(self.grids) - set(required)
+            if not isinstance(grid, (list, tuple)) or len(grid) == 0:
+                raise ConfigError(f"mode {self.mode!r} needs a non-empty list {name!r}")
+        extra = set(self.grids) - set(mode.grids)
         if extra:
             raise ConfigError(f"unknown grids for mode {self.mode!r}: {sorted(extra)}")
-        known = set(_OBSERVABLE_COLUMNS[self.mode])
-        bad = set(self.outputs) - known
+        bad = set(self.outputs) - set(mode.columns)
         if bad:
-            raise ConfigError(
-                f"unknown observables {sorted(bad)} for mode {self.mode!r}; "
-                f"known: {sorted(known)}"
-            )
-        if self.tol <= 0:
-            raise ConfigError(f"tol must be > 0, got {self.tol}")
-        if self.mode in _LADDER_MODES:
-            for n in self.grids["n_atoms"]:
-                if not _is_integral(n):
-                    raise ConfigError(
-                        f"mode {self.mode!r} needs whole atom numbers, got "
-                        f"n_atoms = {n!r}"
-                    )
+            raise ConfigError(f"unknown observables {sorted(bad)} for mode "
+                              f"{self.mode!r}; known: {sorted(mode.columns)}")
+        # tol is a top-level key, never a setting; it counts as set when
+        # it differs from the default, which the hash always carries.
+        unread = set(self.settings) - (set(mode.settings) - {"tol"})
+        if self.tol != DEFAULT_TOL and "tol" not in mode.settings:
+            unread.add("tol")
+        if unread:
+            raise ConfigError(f"mode {self.mode!r} does not read {sorted(unread)}")
+        t_final = self.settings.get("t_final", T_FINAL)
+        for name, value in ("tol", self.tol), ("t_final", t_final):
+            if not 0 < _real(value) < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
+        n_samples = self.settings.get("n_samples", N_SAMPLES)
+        if not (_real(n_samples).is_integer() and _real(n_samples) >= 2):
+            raise ConfigError(f"n_samples must be whole and >= 2, got {n_samples!r}")
+        for n in self.grids["n_atoms"] if mode.whole_n else ():
+            if not _real(n).is_integer():
+                raise ConfigError(f"mode {self.mode!r} needs whole atom numbers, "
+                                  f"got n_atoms = {n!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SweepSpec":
@@ -128,21 +113,16 @@ class SweepSpec:
         version = doc.get("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {version}")
-        unknown = set(doc) - {
-            "schema_version", "mode", "grids", "outputs", "output_path",
-            "tol", "settings",
-        }
+        unknown = set(doc) - {"schema_version", *cls.__dataclass_fields__}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "mode" not in doc:
-            raise ConfigError("config must set 'mode'")
         return cls(
-            mode=doc["mode"],
-            grids=dict(doc.get("grids", {})),
-            outputs=list(doc.get("outputs", [])),
+            mode=doc.get("mode"),
+            grids=doc.get("grids", {}),
+            outputs=doc.get("outputs", []),
             output_path=doc.get("output_path"),
-            tol=float(doc.get("tol", 1e-8)),
-            settings=dict(doc.get("settings", {})),
+            tol=_real(doc.get("tol", DEFAULT_TOL)),
+            settings=doc.get("settings", {}),
         )
 
     def to_dict(self) -> dict:
@@ -172,8 +152,8 @@ class SweepResult:
 
 def _dynamics_rows(point, tol, settings):
     n, rabi = int(point["n_atoms"]), float(point["rabi"])
-    t_final = float(settings.get("t_final", 10.0))
-    n_samples = int(settings.get("n_samples", 201))
+    t_final = float(settings.get("t_final", T_FINAL))
+    n_samples = int(_real(settings.get("n_samples", N_SAMPLES)))
     params = ModelParams(n_atoms=n, rabi=rabi)
     times, states = evolve(
         DickeLadderState.ground(n), params, t_final, tol=tol, n_samples=n_samples
@@ -191,67 +171,98 @@ def _dynamics_rows(point, tol, settings):
     return rows
 
 
-def _steady_row(n, rabi):
-    params = ModelParams(n_atoms=int(n), rabi=float(rabi))
+def _steady_rows(point, *_):
+    n, rabi = int(point["n_atoms"]), float(point["rabi"])
+    params = ModelParams(n_atoms=n, rabi=rabi)
     state = steady_state(params)
     obs = observables(state)
     try:
         g2 = g2_zero(state)
     except UndefinedCorrelationError:
         g2 = float("nan")
-    return {
-        "n_atoms": int(n), "rabi": float(rabi), "beta": params.beta,
+    return [{
+        "n_atoms": n, "rabi": rabi, "beta": params.beta,
         "s_z": obs.s_z, "n_e": obs.n_e,
         "re_dipole": obs.dipole.real, "im_dipole": obs.dipole.imag,
         "gamma_sr": obs.gamma_sr, "g2": g2,
         "residual": state.residual, "status": "ok",
-    }
+    }]
+
+
+def _phase_rows(point, *_):
+    n, beta = int(point["n_atoms"]), float(point["beta"])
+    (row,) = _steady_rows({"n_atoms": n, "rabi": 0.5 * beta * n})
+    row["beta"] = beta
+    return [row]
 
 
 def _finite(row):
     """The row itself; a ValueError if any of its numbers is not finite."""
-    bad = [
-        k for k, v in row.items() if isinstance(v, float) and not math.isfinite(v)
-    ]
+    bad = [k for k, v in row.items() if isinstance(v, float) and not math.isfinite(v)]
     if bad:
         raise ValueError(f"non-finite {', '.join(bad)}")
-    return row
+    return [row]
+
+
+def _screening_rows(point, *_):
+    n, beta = float(point["n_atoms"]), float(point["beta"])
+    sol = solve_x(beta, n)
+    asym = float(np.sqrt(beta**2 - 1.0)) if beta >= 1.0 else 0.0
+    return _finite({
+        "n_atoms": n, "beta": beta, "x": sol.x, "x_asymptote": asym,
+        "residual": abs(_screening_residual(n * sol.x, beta, n)), "status": "ok",
+    })
+
+
+def _mu_rows(point, *_):
+    ax, rad = float(point["ell_ax"]), float(point["ell_rad"])
+    mu = cooperativity_mu(CloudGeometry(ell_ax=ax, ell_rad=rad))
+    return _finite({
+        "ell_ax": ax, "ell_rad": rad, "mu": mu,
+        "small_angle_estimate": 1.0 / (2.0 * np.pi * ax),
+        "residual": 0.0, "status": "ok",
+    })
+
+
+@dataclass(frozen=True)
+class SweepMode:
+    """One sweep mode, as the spec, the sweep and the CLI all see it.
+
+    `rows(point, tol, settings)` returns the point's rows. Row builders
+    reach the layers through this module's globals at call time, so a
+    wrapper installed on `ddmsim.sweep.<name>` sees every call.
+    """
+
+    command: str  # CLI subcommand
+    grids: tuple  # grid names, in column order
+    columns: tuple  # observable columns, in column order
+    whole_n: bool  # N sizes the ladder (N + 1 levels); screening's N is real
+    settings: tuple  # "tol" and the `settings` keys the mode reads
+    rows: object  # row builder
+
+
+_STEADY_COLUMNS = ("s_z", "n_e", "re_dipole", "im_dipole", "gamma_sr", "g2")
+
+SWEEP_MODES = {
+    "dynamics": SweepMode(
+        "dynamics", ("n_atoms", "rabi"),
+        ("t", "n_e", "s_z", "re_dipole", "im_dipole", "gamma_sr"),
+        True, ("tol", "t_final", "n_samples"), _dynamics_rows),
+    "steady_state": SweepMode("steady", ("n_atoms", "rabi"),
+                              ("beta",) + _STEADY_COLUMNS, True, (), _steady_rows),
+    "phase_diagram": SweepMode("phase-diagram", ("n_atoms", "beta"),
+                               ("rabi",) + _STEADY_COLUMNS, True, (), _phase_rows),
+    "screening_curve": SweepMode("screening", ("n_atoms", "beta"),
+                                 ("x", "x_asymptote"), False, (), _screening_rows),
+    "cooperativity": SweepMode("mu", ("ell_ax", "ell_rad"),
+                               ("mu", "small_angle_estimate"), False, (), _mu_rows),
+}
 
 
 def _eval_point(task):
     mode, point, tol, settings = task
     try:
-        if mode == "dynamics":
-            return _dynamics_rows(point, tol, settings)
-        if mode == "steady_state":
-            return [_steady_row(point["n_atoms"], point["rabi"])]
-        if mode == "phase_diagram":
-            n, beta = int(point["n_atoms"]), float(point["beta"])
-            rabi = 0.5 * beta * n
-            row = _steady_row(n, rabi)
-            row["beta"] = beta
-            return [row]
-        if mode == "screening_curve":
-            n, beta = float(point["n_atoms"]), float(point["beta"])
-            sol = solve_x(beta, n)
-            asym = float(np.sqrt(beta**2 - 1.0)) if beta >= 1.0 else 0.0
-            return [_finite({
-                "n_atoms": n, "beta": beta, "x": sol.x, "x_asymptote": asym,
-                "residual": abs(_screening_residual(n * sol.x, beta, n)),
-                "status": "ok",
-            })]
-        if mode == "cooperativity":
-            ax, rad = float(point["ell_ax"]), float(point["ell_rad"])
-            geom = CloudGeometry(ell_ax=ax, ell_rad=rad)
-            mu = cooperativity_mu(geom)
-            return [_finite({
-                "ell_ax": ax, "ell_rad": rad, "mu": mu,
-                "small_angle_estimate": 1.0 / (2.0 * np.pi * ax),
-                "residual": 0.0, "status": "ok",
-            })]
-        raise ConfigError(f"unknown mode {mode!r}")
-    except (ConfigError, KeyboardInterrupt):
-        raise
+        return SWEEP_MODES[mode].rows(point, tol, settings)
     except Exception as exc:  # per-point failures are recorded, not fatal
         row = {k: float(v) for k, v in point.items()}
         row["residual"] = float("nan")
@@ -263,19 +274,21 @@ def run(spec: SweepSpec, threads: int = 1) -> SweepResult:
     """Execute the sweep; deterministic given the spec.
 
     Points are independent; with threads > 1 they are evaluated by a
-    worker pool, with output order fixed by the grid regardless of
-    completion order. Per-point solver failures are recorded in the
-    status column; only an all-points failure raises.
+    pool of at most min(threads, cpu count, points) workers, with output
+    order fixed by the grid regardless of completion order. Per-point
+    solver failures are recorded in the status column; only an
+    all-points failure raises.
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
-    grid_names = MODES[spec.mode]
-    grids = [list(spec.grids[name]) for name in grid_names]
-    points = [dict(zip(grid_names, combo)) for combo in product(*grids)]
+    mode = SWEEP_MODES[spec.mode]
+    grids = [spec.grids[name] for name in mode.grids]
+    points = [dict(zip(mode.grids, combo)) for combo in product(*grids)]
     tasks = [(spec.mode, point, spec.tol, spec.settings) for point in points]
 
-    if threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_eval_point, tasks))
     else:
         chunks = [_eval_point(task) for task in tasks]
@@ -286,10 +299,8 @@ def run(spec: SweepSpec, threads: int = 1) -> SweepResult:
             f"all {len(points)} sweep points failed; first: {rows[0]['status']}"
         )
 
-    observable_cols = list(_OBSERVABLE_COLUMNS[spec.mode])
-    if spec.outputs:
-        observable_cols = [c for c in observable_cols if c in spec.outputs]
-    columns = list(grid_names) + observable_cols + list(_DIAG_COLUMNS)
+    observable_cols = [c for c in mode.columns if not spec.outputs or c in spec.outputs]
+    columns = list(mode.grids) + observable_cols + ["residual", "status"]
 
     timestamp = int(os.environ.get("SOURCE_DATE_EPOCH", int(time.time())))
     metadata = {

@@ -1,12 +1,14 @@
+import argparse
 import csv
 import json
+import time
 
 import numpy as np
 import pytest
 
 import ddmsim.cli
 from ddmsim.analysis import FitConvergenceError
-from ddmsim.cli import _read_table, main
+from ddmsim.cli import _read_table, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -176,6 +178,144 @@ class TestSweepCommands:
         assert np.array_equal(table["ell_rad"], [0.5, 0.5])
         assert np.isnan(table["mu"][0]) and 2.0e-3 <= table["mu"][1] <= 3.0e-3
         assert np.isnan(table["residual"][0]) and table["residual"][1] == 0.0
+
+
+# The options of each subcommand; -h/--help aside, it takes no others.
+OPTIONS = {
+    "dynamics": {"--config", "--out", "--threads", "--outputs", "--n-atoms",
+                 "--rabi", "--t-final", "--t-final-ns", "--gamma-mhz",
+                 "--n-samples", "--tol"},
+    "steady": {"--config", "--out", "--threads", "--outputs", "--n-atoms",
+               "--rabi"},
+    "phase-diagram": {"--config", "--out", "--threads", "--outputs",
+                      "--n-atoms", "--beta"},
+    "screening": {"--config", "--out", "--threads", "--outputs", "--n-atoms",
+                  "--beta"},
+    "mu": {"--config", "--out", "--threads", "--outputs", "--ell-ax",
+           "--ell-rad"},
+    "fit-omega-eff": {"--input", "--out"},
+    "fit-alpha": {"--input", "--out"},
+}
+
+VALID_ARGV = {
+    "dynamics": ["--n-atoms", "2", "--rabi", "1"],
+    "steady": ["--n-atoms", "2", "--rabi", "1"],
+    "phase-diagram": ["--n-atoms", "2", "--beta", "1"],
+    "screening": ["--n-atoms", "2", "--beta", "1"],
+    "mu": ["--ell-ax", "2", "--ell-rad", "1"],
+    "fit-omega-eff": ["--input", "missing.csv"],
+    "fit-alpha": ["--input", "missing.csv"],
+}
+
+ALL_FLAGS = sorted(set().union(*OPTIONS.values()))
+
+
+def subcommand_options():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+
+
+class TestOptions:
+    def test_each_subcommand_takes_the_options_it_reads(self):
+        options = subcommand_options()
+        assert options == OPTIONS
+        assert sum(map(len, options.values())) == 39
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command in OPTIONS for flag in ALL_FLAGS
+        if flag not in OPTIONS[command]
+    ])
+    def test_flag_of_another_subcommand_is_config_error(self, capsys, command, flag):
+        code, out, err = run_cli(capsys, command, *VALID_ARGV[command], flag, "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("ddmsim: config error: unrecognized arguments: " + flag)
+
+    @pytest.mark.parametrize("argv", [
+        ("steady", "--n-atoms", "4", "--rabi", "2", "--bogus", "1"),
+        ("steady", "--n-atoms", "abc", "--rabi", "2"),
+        ("steady", "--n-atoms", "4", "--rabi", "2", "--threads", "x"),
+        ("dynamics", "--n-atoms", "2", "--rabi", "1", "--n-samples", "2.7"),
+        ("dynamics", "--n-atoms", "2", "--rabi", "1", "--t-final", "1",
+         "--t-final-ns", "100"),
+        ("fit-alpha",),
+        ("nope",),
+        (),
+    ])
+    def test_usage_error_exits_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("ddmsim: config error: ")
+
+    @pytest.mark.parametrize("argv", [("--help",), ("--version",), ("mu", "--help")])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(list(argv))
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out
+
+
+class TestSettings:
+    @pytest.mark.parametrize("flags", [
+        ("--t-final", "nan"), ("--t-final", "inf"), ("--t-final", "0"),
+        ("--t-final-ns", "nan"), ("--tol", "inf"), ("--tol", "nan"),
+        ("--tol", "0"), ("--n-samples", "0"), ("--n-samples", "1"),
+    ])
+    def test_bad_dynamics_flag_exits_1_at_once(self, capsys, flags):
+        start = time.monotonic()
+        code, out, err = run_cli(
+            capsys, "dynamics", "--n-atoms", "2", "--rabi", "1", *flags
+        )
+        assert time.monotonic() - start < 1.0
+        assert code == 1
+        assert out == ""
+        assert err.startswith("ddmsim: config error: ")
+
+    @pytest.mark.parametrize("doc", [
+        [1],
+        {"mode": "steady_state", "grids": {"n_atoms": 2, "rabi": [1.0]}},
+        {"mode": "steady_state", "grids": [1]},
+        {"mode": "steady_state", "grids": {"n_atoms": [2], "rabi": [1.0]},
+         "settings": 5},
+        {"mode": "steady_state", "grids": {"n_atoms": [2], "rabi": [1.0]},
+         "tol": 1e-6},
+        {"mode": "steady_state", "grids": {"n_atoms": [2], "rabi": [1.0]},
+         "settings": {"t_final": 5.0}},
+        {"mode": "dynamics", "grids": {"n_atoms": [2], "rabi": [1.0]},
+         "settings": {"n_samples": 2.7}},
+        {"mode": "dynamics", "grids": {"n_atoms": [2], "rabi": [1.0]},
+         "settings": {"n_samples": "abc"}},
+        {"mode": "dynamics", "grids": {"n_atoms": [2], "rabi": [1.0]},
+         "settings": {"t_final": "nan"}},
+    ])
+    def test_bad_config_exits_1(self, capsys, tmp_path, doc):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(doc))
+        dynamics = isinstance(doc, dict) and doc["mode"] == "dynamics"
+        command = "dynamics" if dynamics else "steady"
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("ddmsim: config error: ")
+
+    def test_flags_override_config_settings(self, capsys, tmp_path):
+        path = tmp_path / "dyn.json"
+        path.write_text(json.dumps({
+            "mode": "dynamics", "grids": {"n_atoms": [2], "rabi": [1.0]},
+            "settings": {"t_final": 4.0, "n_samples": 9},
+        }))
+        code, out, _ = run_cli(
+            capsys, "dynamics", "--config", str(path), "--n-samples", "5"
+        )
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert len(lines) == 2 + 5
+        assert float(lines[-1].split(",")[lines[1].split(",").index("t")]) == 4.0
 
 
 class TestFitCommands:

@@ -206,6 +206,14 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(state, params, 1.0, tol=0.0)
 
+    @pytest.mark.parametrize("t_final, tol", [
+        (np.nan, 1e-8), (np.inf, 1e-8), (1.0, np.nan), (1.0, np.inf),
+    ])
+    def test_rejects_non_finite_span_or_tol(self, t_final, tol):
+        state = DickeLadderState.ground(2)
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            evolve(state, ModelParams(n_atoms=2, rabi=1.0), t_final, tol=tol)
+
 
 class TestSteadyState:
     def test_undriven_is_ground(self):

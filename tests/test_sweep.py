@@ -61,6 +61,47 @@ class TestSweepSpec:
                 })
         SweepSpec.from_dict({"mode": mode, "grids": {"n_atoms": [3.0], other: [1.0]}})
 
+    @pytest.mark.parametrize("grids", [
+        {"n_atoms": 2, "rabi": [1.0]},
+        {"n_atoms": [2], "rabi": "1.0"},
+        [["n_atoms", [2]], ["rabi", [1.0]]],
+    ])
+    def test_grid_shapes(self, grids):
+        with pytest.raises(ConfigError):
+            make_spec(grids=grids)
+
+    def test_root_not_object(self):
+        with pytest.raises(ConfigError, match="root"):
+            SweepSpec.from_dict([1])
+
+    @pytest.mark.parametrize("overrides, unread", [
+        ({"tol": 1e-6}, "tol"),
+        ({"settings": {"t_final": 5.0}}, "t_final"),
+        ({"settings": {"bogus": 1}}, "bogus"),
+    ])
+    def test_rejects_what_the_mode_does_not_read(self, overrides, unread):
+        with pytest.raises(ConfigError, match=f"does not read.*{unread}"):
+            make_spec(**overrides)
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"tol": float("nan")}, "tol"),
+        ({"tol": float("inf")}, "tol"),
+        ({"tol": 0.0}, "tol"),
+        ({"tol": None}, "tol"),
+        ({"settings": {"t_final": float("nan")}}, "t_final"),
+        ({"settings": {"t_final": float("inf")}}, "t_final"),
+        ({"settings": {"t_final": 0.0}}, "t_final"),
+        ({"settings": {"n_samples": 0}}, "n_samples"),
+        ({"settings": {"n_samples": 1}}, "n_samples"),
+        ({"settings": {"n_samples": 2.7}}, "n_samples"),
+        ({"settings": {"n_samples": "abc"}}, "n_samples"),
+        ({"settings": {"tol": 1e-6}}, "does not read"),
+    ])
+    def test_dynamics_settings(self, overrides, message):
+        doc = {"mode": "dynamics", "grids": {"n_atoms": [2], "rabi": [1.0]}}
+        with pytest.raises(ConfigError, match=message):
+            SweepSpec.from_dict({**doc, **overrides})
+
     def test_screening_keeps_real_n_atoms(self):
         spec = SweepSpec.from_dict({
             "mode": "screening_curve", "grids": {"n_atoms": [4.7], "beta": [2.0]},
@@ -68,8 +109,11 @@ class TestSweepSpec:
         assert run(spec).rows[0]["status"] == "ok"
 
     def test_hash_stable(self):
+        dynamics = {"mode": "dynamics", "grids": {"n_atoms": [2], "rabi": [1.0]}}
         assert make_spec().canonical_hash() == make_spec().canonical_hash()
-        assert make_spec().canonical_hash() != make_spec(tol=1e-6).canonical_hash()
+        assert make_spec(**dynamics).canonical_hash() != make_spec(
+            **dynamics, tol=1e-6
+        ).canonical_hash()
 
 
 class TestRun:
@@ -232,3 +276,71 @@ class TestThreads:
     def test_rejects_fewer_than_one(self, threads):
         with pytest.raises(ConfigError, match="threads"):
             run(make_spec(), threads=threads)
+
+    @pytest.mark.parametrize("threads, cpus, n_points, workers", [
+        (1000, 8, 4, 4), (1000, 2, 6, 2), (3, 8, 6, 3), (2, None, 6, None),
+        (4, 8, 1, None),
+    ])
+    def test_workers_capped(self, monkeypatch, threads, cpus, n_points, workers):
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(ddmsim.sweep, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(ddmsim.sweep.os, "cpu_count", lambda: cpus)
+        spec = SweepSpec.from_dict({
+            "mode": "screening_curve",
+            "grids": {"n_atoms": [20], "beta": [0.5 + k for k in range(n_points)]},
+        })
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        assert format_csv(run(spec, threads=threads)) == format_csv(run(spec))
+        assert started == ([workers] if workers else [])
+
+
+class TestLayerRouting:
+    """Each mode reaches its layers through the `ddmsim.sweep` names, which
+    is where the benchmark's tracer and correctness gate wrap them."""
+
+    LAYERS = ("steady_state", "evolve", "observables", "g2_zero", "solve_x",
+              "cooperativity_mu")
+
+    @pytest.mark.parametrize("doc, reached", [
+        ({"mode": "dynamics", "grids": {"n_atoms": [2], "rabi": [1.0]},
+          "settings": {"t_final": 1.0, "n_samples": 3}},
+         {"evolve": 1, "observables": 3}),
+        ({"mode": "steady_state", "grids": {"n_atoms": [2], "rabi": [1.0]}},
+         {"steady_state": 1, "observables": 1, "g2_zero": 1}),
+        ({"mode": "phase_diagram", "grids": {"n_atoms": [2], "beta": [1.5]}},
+         {"steady_state": 1, "observables": 1, "g2_zero": 1}),
+        ({"mode": "screening_curve", "grids": {"n_atoms": [20], "beta": [0.5]}},
+         {"solve_x": 1}),
+        ({"mode": "cooperativity", "grids": {"ell_ax": [2.0], "ell_rad": [0.5]}},
+         {"cooperativity_mu": 1}),
+    ])
+    def test_mode_calls_layers_by_module_name(self, monkeypatch, doc, reached):
+        calls = dict.fromkeys(self.LAYERS, 0)
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for name in self.LAYERS:
+            monkeypatch.setattr(
+                ddmsim.sweep, name, counting(name, getattr(ddmsim.sweep, name))
+            )
+        result = run(SweepSpec.from_dict(doc))
+        assert all(row["status"] == "ok" for row in result.rows)
+        assert calls == {**dict.fromkeys(self.LAYERS, 0), **reached}
