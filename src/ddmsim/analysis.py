@@ -167,7 +167,8 @@ def fit_power_law(n_values, y_values):
     """Exponent and prefactor of y = c * n^alpha via log-log regression.
 
     Returns (alpha, prefactor, alpha_stderr), the standard error coming
-    from the regression residuals.
+    from the regression residuals. Non-finite or non-positive inputs
+    raise a ValueError.
     """
     n_values = np.asarray(n_values, dtype=float)
     y_values = np.asarray(y_values, dtype=float)
@@ -175,8 +176,11 @@ def fit_power_law(n_values, y_values):
         raise ValueError("n_values and y_values lengths differ")
     if n_values.size < 3:
         raise ValueError(f"need at least 3 points, got {n_values.size}")
-    if np.any(n_values <= 0) or np.any(y_values <= 0):
-        raise ValueError("power-law fit requires strictly positive inputs")
+    for name, values in ("n_values", n_values), ("y_values", y_values):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"power-law fit requires finite {name}")
+        if np.any(values <= 0):
+            raise ValueError("power-law fit requires strictly positive inputs")
     x = np.log(n_values)
     y = np.log(y_values)
     x_mean = x.mean()

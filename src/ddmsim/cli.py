@@ -43,7 +43,14 @@ DEFAULT_GAMMA_MHZ = 2.0 * np.pi * 6.0  # rubidium D2 linewidth, angular MHz
 
 
 class _Parser(argparse.ArgumentParser):
-    """A usage error is a config error (exit 1), not argparse's exit 2."""
+    """A usage error is a config error (exit 1), not argparse's exit 2.
+
+    Options are matched whole: a prefix such as --thread is an unknown
+    option, not --threads. Subparsers are built from this class too.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ConfigError(message)
@@ -69,7 +76,8 @@ def _add_sweep_parser(sub, name: str, mode):
                        help=f"comma-separated {grid} grid")
     if "tol" in mode.settings:
         p.add_argument("--tol", type=float,
-                       help=f"solver tolerance (default {DEFAULT_TOL:g})")
+                       help=f"bound on the trace drift of each dynamics trace "
+                            f"(default {DEFAULT_TOL:g})")
     if "t_final" in mode.settings:
         span = p.add_mutually_exclusive_group()
         span.add_argument("--t-final", type=float, help="pulse duration in 1/gamma")
@@ -159,6 +167,18 @@ def _read_table(path: str) -> dict:
     return {name: np.asarray(vals) for name, vals in cols.items()}
 
 
+def _column(table: dict, name: str, path: str) -> np.ndarray:
+    """A column of the table; a ConfigError if it is missing or a cell
+    is not a finite number."""
+    if name not in table:
+        raise ConfigError(f"{path}: no {name} column")
+    bad = np.flatnonzero(~np.isfinite(table[name]))
+    if bad.size:
+        raise ConfigError(f"{path}: column {name} has a non-numeric or "
+                          f"non-finite cell in data row {bad[0] + 1}")
+    return table[name]
+
+
 def _write_json(out: dict, path: str | None) -> int:
     """Write a fit result as indented JSON to path, or to stdout."""
     text = json.dumps(out, indent=2) + "\n"
@@ -172,14 +192,9 @@ def _write_json(out: dict, path: str | None) -> int:
 
 def _run_fit_omega_eff(args) -> int:
     table = _read_table(args.input)
-    for t_col in ("t", "time", "times"):
-        if t_col in table:
-            break
-    else:
-        raise ConfigError(f"{args.input}: no time column (t)")
-    if "n_e" not in table:
-        raise ConfigError(f"{args.input}: no n_e column")
-    trace = TimeTrace(times=table[t_col], values=table["n_e"])
+    t_col = next((c for c in ("t", "time", "times") if c in table), "t")
+    trace = TimeTrace(times=_column(table, t_col, args.input),
+                      values=_column(table, "n_e", args.input))
     fit = fit_omega_eff(trace)
     out = {
         "omega_eff": fit.omega_eff,
@@ -193,9 +208,8 @@ def _run_fit_omega_eff(args) -> int:
 
 def _run_fit_alpha(args) -> int:
     table = _read_table(args.input)
-    if "n_atoms" not in table or "gamma_sr" not in table:
-        raise ConfigError(f"{args.input}: need n_atoms and gamma_sr columns")
-    alpha, prefactor, stderr = fit_power_law(table["n_atoms"], table["gamma_sr"])
+    alpha, prefactor, stderr = fit_power_law(_column(table, "n_atoms", args.input),
+                                             _column(table, "gamma_sr", args.input))
     out = {"alpha": alpha, "prefactor": prefactor, "alpha_stderr": stderr}
     return _write_json(out, args.out)
 

@@ -158,3 +158,12 @@ class TestFitPowerLaw:
     def test_requires_positive_values(self):
         with pytest.raises(ValueError):
             fit_power_law([1.0, 2.0, 3.0], [1.0, -4.0, 9.0])
+
+    @pytest.mark.parametrize("n, y", [
+        ([2.0, 3.0, 4.0, 5.0], [8.0, 18.0, np.nan, 50.0]),
+        ([2.0, 3.0, 4.0, 5.0], [8.0, 18.0, np.inf, 50.0]),
+        ([2.0, np.nan, 4.0, 5.0], [8.0, 18.0, 32.0, 50.0]),
+    ])
+    def test_rejects_non_finite_values(self, n, y):
+        with pytest.raises(ValueError, match="finite"):
+            fit_power_law(n, y)

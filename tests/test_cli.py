@@ -252,6 +252,17 @@ class TestOptions:
         assert out == ""
         assert err.startswith("ddmsim: config error: ")
 
+    @pytest.mark.parametrize("prefix", ["--thread", "--outp", "--t-final-n"])
+    def test_option_prefix_is_config_error(self, capsys, prefix):
+        # A prefix of an option is not that option (--thread is not
+        # --threads), in every subcommand.
+        code, out, err = run_cli(
+            capsys, "dynamics", "--n-atoms", "2", "--rabi", "1", prefix, "2"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("ddmsim: config error: ")
+
     @pytest.mark.parametrize("argv", [("--help",), ("--version",), ("mu", "--help")])
     def test_help_and_version_exit_0(self, capsys, argv):
         with pytest.raises(SystemExit) as exit_info:
@@ -362,6 +373,22 @@ class TestFitCommands:
         path.write_text("a,b\n1,2\n3,4\n")
         code, _, _ = run_cli(capsys, "fit-alpha", "--input", str(path))
         assert code == 1
+
+    @pytest.mark.parametrize("command, text, column", [
+        ("fit-alpha", "n_atoms,gamma_sr\n2,8\n3,18\n4,abc\n5,50\n", "gamma_sr"),
+        ("fit-alpha", "n_atoms,gamma_sr\n2,8\nx,18\n4,32\n5,50\n", "n_atoms"),
+        ("fit-omega-eff", "t,n_e\n" + "".join(
+            f"{k},{'abc' if k == 5 else 0.01 * k}\n" for k in range(20)), "n_e"),
+    ])
+    def test_non_numeric_cell_is_config_error(self, capsys, tmp_path, command,
+                                              text, column):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, command, "--input", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("ddmsim: config error: ")
+        assert f"column {column} " in err
 
     def test_flat_trace_is_fit_failure(self, capsys, tmp_path):
         path = tmp_path / "flat.csv"

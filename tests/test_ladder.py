@@ -2,11 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+import ddmsim.ladder
 from ddmsim.ladder import (
+    _DENSE_MAX_ROWS,
     DickeLadderState,
     UndefinedCorrelationError,
     _coupling_array,
+    _gauged_superoperator,
+    _propagate_dense,
+    _propagate_sparse,
+    _sector_operator,
     _solve_with_trace_row,
     _superoperator,
     evolve,
@@ -150,6 +157,22 @@ class TestEvolve:
         ref = obe_excited_population(omega, 1.0, t)
         assert np.max(np.abs(n_e - ref)) < 1e-6
 
+    def test_single_atom_matches_closed_form_to_round_off(self):
+        omega = 5.0
+        t, states = evolve(
+            DickeLadderState.ground(1), ModelParams(n_atoms=1, rabi=omega),
+            10.0, n_samples=101,
+        )
+        n_e = np.array([observables(s).n_e for s in states])
+        ref = obe_excited_population(omega, 1.0, t)
+        assert np.max(np.abs(n_e - ref)) <= 1e-10
+
+    def test_default_samples_are_the_end_points(self):
+        t, states = evolve(
+            DickeLadderState.ground(3), ModelParams(n_atoms=3, rabi=2.0), 2.5
+        )
+        assert list(t) == [0.0, 2.5] and len(states) == 2
+
     def test_collective_overdamping(self):
         # More atoms at the same drive: fewer and weaker oscillations.
         def count_maxima(n):
@@ -213,6 +236,154 @@ class TestEvolve:
         state = DickeLadderState.ground(2)
         with pytest.raises(ValueError, match="must be finite and > 0"):
             evolve(state, ModelParams(n_atoms=2, rabi=1.0), t_final, tol=tol)
+
+
+def rk45_reference(state0, params, t_final, n_samples):
+    """The trace by RK45 on the full complex L at rtol 1e-12."""
+    liou = _superoperator(params)
+    t = np.linspace(0.0, t_final, n_samples)
+    sol = solve_ivp(lambda _t, y: liou @ y, (0.0, t_final),
+                    state0.rho.ravel(order="F"), t_eval=t, rtol=1e-12,
+                    atol=1e-14)
+    assert sol.success
+    dim = state0.n_atoms + 1
+    return [DickeLadderState(state0.n_atoms, y.reshape(dim, dim, order="F"))
+            for y in sol.y.T]
+
+
+def max_observable_gap(states, ref_states):
+    """Largest difference in the observables a dynamics row reports."""
+    gap = 0.0
+    for state, ref in zip(states, ref_states, strict=True):
+        a, b = observables(state), observables(ref)
+        gap = max(gap, abs(a.s_z - b.s_z), abs(a.n_e - b.n_e),
+                  abs(a.dipole - b.dipole), abs(a.gamma_sr - b.gamma_sr))
+    return gap
+
+
+def sector_size(n):
+    return (n + 1) * (n + 2) // 2
+
+
+class TestPropagator:
+    """`evolve` against an RK45 reference, and the pieces it is built from:
+    the real gauge, the symmetric sector, and the two propagators."""
+
+    @pytest.mark.parametrize("n", [1, 4, 10, 24])
+    @pytest.mark.parametrize("beta", [0.5, 1.5, 3.0])
+    def test_matches_rk45_reference(self, n, beta):
+        params = ModelParams(n_atoms=n, rabi=0.5 * beta * n)
+        state0 = DickeLadderState.ground(n)
+        _, states = evolve(state0, params, 3.0, n_samples=31)
+        assert max_observable_gap(states, rk45_reference(state0, params, 3.0, 31)) <= 1e-8
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_state_outside_sector_matches_rk45_reference(self, n):
+        # A generic rho is not real and symmetric under the gauge, so it
+        # takes the full complex L.
+        state0 = random_density_matrix(n, seed=n)
+        gauged = state0.rho * ddmsim.ladder._gauge(n + 1)
+        assert gauged.imag.any()
+        params = ModelParams(n_atoms=n, rabi=1.7)
+        _, states = evolve(state0, params, 5.0, n_samples=26)
+        assert max_observable_gap(states, rk45_reference(state0, params, 5.0, 26)) <= 1e-8
+        for state in states:
+            check_state(state, trace_tol=1e-12, herm_tol=1e-12, psd_tol=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 24])
+    @pytest.mark.parametrize("gamma", [1.0, 2.5])
+    def test_gauged_resonant_liouvillian_is_real(self, n, gamma):
+        params = ModelParams(n_atoms=n, rabi=0.9 * n, gamma=gamma)
+        gauged = _gauged_superoperator(params)
+        assert not gauged.data.imag.any()
+        detuned = _gauged_superoperator(
+            ModelParams(n_atoms=n, rabi=0.9 * n, gamma=gamma, detuning=0.7))
+        assert detuned.data.imag.any()
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 24])
+    @pytest.mark.parametrize("gamma", [1.0, 2.5])
+    def test_symmetric_sector_is_invariant(self, n, gamma):
+        params = ModelParams(n_atoms=n, rabi=0.9 * n, gamma=gamma)
+        gauged = _gauged_superoperator(params)
+        dim = n + 1
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(dim, dim))
+        x += x.T
+        y = (gauged.real @ x.ravel(order="F")).reshape(dim, dim, order="F")
+        scale = np.max(np.abs(y))
+        assert np.max(np.abs(y - y.T)) <= 1e-14 * scale
+        rows, cols = np.triu_indices(dim)
+        sector = _sector_operator(gauged, dim)
+        assert sector.shape == (sector_size(n),) * 2
+        assert np.max(np.abs(sector @ x[rows, cols] - y[rows, cols])) <= 1e-14 * scale
+
+    def test_ground_and_steady_states_lie_in_sector(self):
+        for state in (DickeLadderState.ground(6),
+                      steady_state(ModelParams(n_atoms=6, rabi=2.0)),
+                      steady_state(ModelParams(n_atoms=9, rabi=20.0, gamma=2.5))):
+            gauged = state.rho * ddmsim.ladder._gauge(state.n_atoms + 1)
+            assert not gauged.imag.any()
+            assert np.array_equal(gauged, gauged.T)
+
+    def test_branches_agree_at_the_switch_size(self):
+        n = max(k for k in range(100) if sector_size(k) <= _DENSE_MAX_ROWS)
+        assert sector_size(n + 1) > _DENSE_MAX_ROWS
+        params = ModelParams(n_atoms=n, rabi=0.75 * n)
+        sector = _sector_operator(_gauged_superoperator(params), n + 1)
+        u0 = np.zeros(sector.shape[0])
+        u0[0] = 1.0  # the ground state
+        dense = _propagate_dense(sector, u0, 8.0, 161)
+        sparse = _propagate_sparse(sector, u0, 8.0, 161)
+        assert dense.shape == sparse.shape == (161, sector_size(n))
+        assert np.max(np.abs(dense - sparse)) <= 1e-10
+
+    def test_trace_drift_at_largest_dense_size(self):
+        n = max(k for k in range(100) if sector_size(k) <= _DENSE_MAX_ROWS)
+        _, states = evolve(DickeLadderState.ground(n),
+                           ModelParams(n_atoms=n, rabi=0.25 * n), 8.0,
+                           tol=1e-10, n_samples=161)
+        assert max(abs(s.trace() - 1.0) for s in states) <= 1e-10
+
+    def test_branch_follows_operator_size(self, monkeypatch):
+        calls = []
+
+        def recording(name):
+            fn = getattr(ddmsim.ladder, name)
+
+            def wrapped(op, *args):
+                calls.append((name, op.shape[0]))
+                return fn(op, *args)
+            return wrapped
+
+        for name in ("_propagate_dense", "_propagate_sparse"):
+            monkeypatch.setattr(ddmsim.ladder, name, recording(name))
+        monkeypatch.setattr(ddmsim.ladder, "_DENSE_MAX_ROWS", 12)
+        for n, detuning in (3, 0.0), (4, 0.0), (2, 0.5), (3, 0.5):
+            evolve(DickeLadderState.ground(n),
+                   ModelParams(n_atoms=n, rabi=1.0, detuning=detuning), 1.0)
+        assert calls == [("_propagate_dense", 10), ("_propagate_sparse", 15),
+                         ("_propagate_dense", 9), ("_propagate_sparse", 16)]
+
+    def test_calls_no_ode_integrator(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("evolve called solve_ivp")
+
+        monkeypatch.setattr(ddmsim.ladder, "solve_ivp", forbidden)
+        evolve(DickeLadderState.ground(3), ModelParams(n_atoms=3, rabi=2.0), 1.0,
+               n_samples=5)
+
+    def test_trace_drift_above_tol_raises(self, monkeypatch):
+        step = ddmsim.ladder._propagate_dense
+        monkeypatch.setattr(ddmsim.ladder, "_propagate_dense",
+                            lambda *args: 1.01 * step(*args))
+        with pytest.raises(RuntimeError, match="trace drift"):
+            evolve(DickeLadderState.ground(3), ModelParams(n_atoms=3, rabi=2.0), 1.0)
+
+    @pytest.mark.parametrize("n_samples", [0, 1, 2.5])
+    def test_rejects_bad_sample_count(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples"):
+            evolve(DickeLadderState.ground(2), ModelParams(n_atoms=2, rabi=1.0),
+                   1.0, n_samples=n_samples)
 
 
 class TestSteadyState:

@@ -207,6 +207,19 @@ class TestRun:
         parallel = format_csv(run(spec, threads=2))
         assert serial == parallel
 
+    def test_parallel_dynamics_matches_serial(self, monkeypatch):
+        # Dynamics traces go through BLAS matrix products; a worker must
+        # write the same bytes as the serial run.
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        spec = SweepSpec.from_dict({
+            "mode": "dynamics",
+            "grids": {"n_atoms": [20, 24], "rabi": [5.0, 18.0]},
+        })
+        serial = format_csv(run(spec, threads=1))
+        parallel = format_csv(run(spec, threads=2))
+        assert serial == parallel
+        assert serial.count("\n") == 2 + 4 * 201
+
     def test_deterministic_output(self, monkeypatch):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
         assert format_csv(run(make_spec())) == format_csv(run(make_spec()))
