@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 
 class FitConvergenceError(RuntimeError):
@@ -129,6 +128,9 @@ def fit_omega_eff(trace: TimeTrace, gamma: float = 1.0) -> FitResult:
         raise UnderdeterminedFitError(
             "trace is flat to 1e-6; the fit is underdetermined"
         )
+
+    # Imported here so that subcommands that fit no trace never load it.
+    from scipy.optimize import least_squares
 
     def residuals(p):
         return obe_excited_population(p[0], p[1], trace.times) - trace.values

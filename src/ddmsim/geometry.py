@@ -13,8 +13,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 TWO_PI = 2.0 * math.pi
 # Integral over 4pi of the circularly polarized dipole pattern
 # (1 + cos^2(phi) sin^2(theta))/2, theta measured from the drive axis.
@@ -72,6 +70,9 @@ def coherent_power(geom: CloudGeometry, rel_tol: float = 1e-10) -> float:
     backward cones). The adaptive quadrature is given those edges as
     breakpoints.
     """
+    # Imported here so that subcommands that integrate nothing never load it.
+    from scipy.integrate import quad
+
     rad_sq = (TWO_PI * geom.ell_rad) ** 2
     ax_sq = (TWO_PI * geom.ell_ax) ** 2
     ax_width = 10.0 / (TWO_PI * geom.ell_ax)

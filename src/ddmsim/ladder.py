@@ -15,14 +15,28 @@ excited).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sparse
-import scipy.sparse.linalg as spla
-# unused here; traced under this name by bench/spans.py
-from scipy.integrate import solve_ivp  # noqa: F401
 
 from ddmsim.params import ModelParams
+
+# scipy is imported inside the functions that call it, so that importing
+# this module (and the CLI, and every subcommand that never solves or
+# propagates a ladder state) loads numpy only.
+if TYPE_CHECKING:
+    import scipy.sparse as sparse
+
+
+def __getattr__(name):
+    # `ddmsim.ladder.solve_ivp` is unused here; bench/spans.py traces
+    # scipy's integrator under this name until its span is retargeted
+    # (ROADMAP item 1). Resolved on first access, so that importing this
+    # module does not load scipy.integrate.
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class NonConvergenceError(RuntimeError):
@@ -239,8 +253,10 @@ def _propagate_dense(op, u0, t_final, n_samples):
 def _propagate_sparse(op, u0, t_final, n_samples):
     """The samples of `_propagate_dense`, by scipy's expm_multiply on the
     sparse op (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011))."""
-    return spla.expm_multiply(op, u0, start=0.0, stop=t_final,
-                              num=n_samples, endpoint=True)
+    from scipy.sparse.linalg import expm_multiply
+
+    return expm_multiply(op, u0, start=0.0, stop=t_final,
+                         num=n_samples, endpoint=True)
 
 
 def _gauge(dim: int) -> np.ndarray:
@@ -268,6 +284,8 @@ def _sector_operator(gauged: sparse.csr_matrix, dim: int) -> sparse.csr_matrix:
     real symmetric matrices; the sector's coordinates are the upper
     triangle (np.triu_indices order) of rho.
     """
+    import scipy.sparse as sparse
+
     rows, cols = np.triu_indices(dim)
     upper, lower = rows + cols * dim, cols + rows * dim
     k = np.arange(rows.size)
@@ -282,6 +300,8 @@ def _sector_operator(gauged: sparse.csr_matrix, dim: int) -> sparse.csr_matrix:
 
 def _superoperator(params: ModelParams) -> sparse.csr_matrix:
     """Sparse Liouvillian acting on vec(rho) (column-major stacking)."""
+    import scipy.sparse as sparse
+
     n = params.n_atoms
     a = _coupling_array(n)
     dim = n + 1
@@ -302,13 +322,15 @@ def _superoperator(params: ModelParams) -> sparse.csr_matrix:
 
 def _solve_with_trace_row(liou, dim):
     """Solve L v = 0 with the first row replaced by the trace condition."""
+    from scipy.sparse.linalg import spsolve
+
     mat = liou.tolil(copy=True)
     mat[0, :] = 0.0
     for c in np.arange(dim) * (dim + 1):
         mat[0, c] = 1.0
     b = np.zeros(dim * dim, dtype=complex)
     b[0] = 1.0
-    return spla.spsolve(mat.tocsc(), b)
+    return spsolve(mat.tocsc(), b)
 
 
 def _resonant_steady_rho(params: ModelParams) -> np.ndarray:

@@ -20,8 +20,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 
-import numpy as np
-
 from ddmsim import __version__
 from ddmsim.params import ModelParams
 from ddmsim.ladder import (
@@ -207,7 +205,7 @@ def _finite(row):
 def _screening_rows(point, *_):
     n, beta = float(point["n_atoms"]), float(point["beta"])
     sol = solve_x(beta, n)
-    asym = float(np.sqrt(beta**2 - 1.0)) if beta >= 1.0 else 0.0
+    asym = math.sqrt(beta**2 - 1.0) if beta >= 1.0 else 0.0
     return _finite({
         "n_atoms": n, "beta": beta, "x": sol.x, "x_asymptote": asym,
         "residual": abs(_screening_residual(n * sol.x, beta, n)), "status": "ok",
@@ -219,7 +217,7 @@ def _mu_rows(point, *_):
     mu = cooperativity_mu(CloudGeometry(ell_ax=ax, ell_rad=rad))
     return _finite({
         "ell_ax": ax, "ell_rad": rad, "mu": mu,
-        "small_angle_estimate": 1.0 / (2.0 * np.pi * ax),
+        "small_angle_estimate": 1.0 / (2.0 * math.pi * ax),
         "residual": 0.0, "status": "ok",
     })
 

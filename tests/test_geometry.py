@@ -183,6 +183,26 @@ class TestSingleExponentIntegrand:
             CloudGeometry(ell_ax=0.5, ell_rad=bad)
 
 
+class TestHighPrecisionReference:
+    # mu from 40-digit mpmath 1.3 (mp.quad of the u-integrand of
+    # `coherent_power` over [0, 2], split at 1 and at 2^-j from both
+    # ends, j = 0..59), rounded to 20 digits; it shares no breakpoint or
+    # integrand code with ddmsim. The points are ones where the radial
+    # breakpoint of `coherent_power` leaves the forward lobe whole; at
+    # ell_rad = 20 it cuts the lobe's tail (ROADMAP item 6).
+    @pytest.mark.parametrize(
+        "ell_ax, ell_rad, want",
+        [
+            (10.0, 1.0, 0.0029632701650754866920),
+            (2.0, 0.2, 0.024111602746450798847),
+            (3.0, 3.05, 0.00051127106465850286332),
+        ],
+    )
+    def test_mu_matches_mpmath(self, ell_ax, ell_rad, want):
+        mu = cooperativity_mu(CloudGeometry(ell_ax=ell_ax, ell_rad=ell_rad))
+        assert mu == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 class TestExtremeSizes:
     @staticmethod
     def mu_row(ell_ax, ell_rad):
