@@ -15,6 +15,7 @@ excited).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -51,11 +52,18 @@ class UndefinedCorrelationError(ValueError):
     """g2(0) requested for a state with vanishing emission rate."""
 
 
+@lru_cache(maxsize=256)
 def _coupling_array(n_atoms: int) -> np.ndarray:
-    """A[i] = A_{m = i - S} for i = 0..N; A[N] = A_S = 0."""
+    """A[i] = A_{m = i - S} for i = 0..N; A[N] = A_S = 0.
+
+    Cached per N (N + 1 floats) and read-only: every steady state,
+    stencil and observable set at that N reads the same coefficients.
+    """
     s = n_atoms / 2.0
     m = np.arange(n_atoms + 1) - s
-    return np.sqrt(np.maximum(s * (s + 1) - m * (m + 1), 0.0))
+    a = np.sqrt(np.maximum(s * (s + 1) - m * (m + 1), 0.0))
+    a.flags.writeable = False
+    return a
 
 
 @dataclass
@@ -113,36 +121,66 @@ def liouvillian_rhs(state: DickeLadderState, params: ModelParams) -> np.ndarray:
     """Time derivative of the ladder density matrix.
 
     The master equation of `_superoperator` as an O(N^2) stencil, with
-    no (N+1)^2-dimensional operator: drive couples rho_{m,m'} to its
-    four nearest neighbours through the ladder coefficients; collective
-    decay feeds each element from rho_{m+1,m'+1} and drains it at rate
-    (A_{m-1}^2 + A_{m'-1}^2)/2.
+    no (N+1)^2-dimensional operator. The resonant part is applied in the
+    gauge rho_{mm'} -> i^{m-m'} rho_{mm'}, where its coefficients are
+    real (`_gauged_rhs`): gauge, stencil, un-gauge. Detuned drive adds
+    its diagonal term +i(detuning/2)(m - m') rho_{m,m'} afterwards.
     """
     if params.n_atoms != state.n_atoms:
         raise ValueError(
             f"state has N = {state.n_atoms} but params have N = {params.n_atoms}"
         )
     rho = state.rho
-    a = _coupling_array(state.n_atoms)
-    am1 = np.concatenate(([0.0], a[:-1]))  # am1[i] = A_{m-1}
-
-    drive = np.zeros_like(rho)
-    drive[1:, :] += am1[1:, None] * rho[:-1, :]  # A_{m-1} rho_{m-1,m'}
-    drive[:-1, :] += a[:-1, None] * rho[1:, :]  # A_m rho_{m+1,m'}
-    drive[:, 1:] -= am1[None, 1:] * rho[:, :-1]  # A_{m'-1} rho_{m,m'-1}
-    drive[:, :-1] -= a[None, :-1] * rho[:, 1:]  # A_{m'} rho_{m,m'+1}
-
-    decay = -(am1[:, None] ** 2 + am1[None, :] ** 2) * rho
-    decay[:-1, :-1] += 2.0 * (a[:-1, None] * a[None, :-1]) * rho[1:, 1:]
-
-    out = -0.5j * params.rabi * drive + 0.5 * params.gamma * decay
+    dim = rho.shape[0]
+    out = _gauged_rhs(rho * _gauge(dim), params)
+    out *= _gauge(dim, inverse=True)
     if params.detuning != 0.0:
         # Rotating-frame extension beyond the resonant ladder equations:
-        # H contains -(detuning/2) S_z, contributing
-        # +i(detuning/2)(m - m') rho_{m,m'}.
-        idx = np.arange(rho.shape[0])
+        # H contains -(detuning/2) S_z. The term is diagonal in (m, m'),
+        # so it is the same in either gauge.
+        idx = np.arange(dim)
         out += 0.5j * params.detuning * (idx[:, None] - idx[None, :]) * rho
     return out
+
+
+def _gauged_rhs(x: np.ndarray, params: ModelParams,
+                symmetric: bool = False) -> np.ndarray:
+    """The resonant master equation on a gauged x_{m,m'} = i^{m-m'} rho_{m,m'}.
+
+    Every coefficient is real. Drive couples x_{m,m'} to its four
+    nearest neighbours, (rabi/2)(A_{m-1} x_{m-1,m'} - A_m x_{m+1,m'}
+    + A_{m'-1} x_{m,m'-1} - A_{m'} x_{m,m'+1}); collective decay feeds
+    each element from x_{m+1,m'+1} at rate gamma A_m A_{m'} and drains
+    it at (gamma/2)(A_{m-1}^2 + A_{m'-1}^2). x may be real or complex.
+
+    The stencil is a row half and its mirror: L x = H(x) + H(x^T)^T,
+    where H holds the terms along m and half of the feed. For a
+    symmetric x (symmetric=True; every resonant steady state is one in
+    the gauge) the mirror is H(x)^T, so H is applied once.
+    """
+    a = _coupling_array(params.n_atoms)[:-1]  # A_m, m = -S..S-1
+    drive = (0.5 * params.rabi * a)[:, None]
+    drain = np.concatenate(([0.0], -0.5 * params.gamma * a**2))[:, None]
+    half_gamma_a = (0.5 * params.gamma * a)[:, None]
+
+    def row_half(y, tmp):
+        h = drain * y
+        feed = tmp[:-1, :-1]
+        np.multiply(y[1:, 1:], a, out=feed)
+        feed *= half_gamma_a
+        h[:-1, :-1] += feed
+        h[1:] += np.multiply(drive, y[:-1], out=tmp[1:])
+        h[:-1] -= np.multiply(drive, y[1:], out=tmp[:-1])
+        return h
+
+    # Every product goes through one scratch array, which then takes the
+    # sum: from about N = 125 a fresh (N+1)^2 temporary per term is a
+    # fresh memory mapping, whose page faults cost more than the
+    # arithmetic.
+    tmp = np.empty(x.shape, np.result_type(x, a))
+    half = row_half(x, tmp)
+    mirror = half if symmetric else row_half(x.T, tmp)
+    return np.add(half, mirror.T, out=tmp)
 
 
 def evolve(
@@ -259,10 +297,25 @@ def _propagate_sparse(op, u0, t_final, n_samples):
                          num=n_samples, endpoint=True)
 
 
-def _gauge(dim: int) -> np.ndarray:
-    """Phases i^{m-m'} of the resonant gauge, a dim x dim matrix."""
-    idx = np.arange(dim)
-    return np.array([1, 1j, -1, -1j])[(idx[:, None] - idx[None, :]) % 4]
+# i^k at k mod 4.
+_PHASES = np.array([1, 1j, -1, -1j])
+
+
+def _gauge(dim: int, inverse: bool = False) -> np.ndarray:
+    """Phases i^{m-m'} of the resonant gauge, a dim x dim matrix.
+
+    inverse=True gives their conjugates i^{m'-m}, which undo the gauge.
+    The matrix is Toeplitz, phase[j, l] = w[dim - 1 - j + l], so it is
+    returned as a read-only view of the 2 dim - 1 phases w, with a
+    negative row stride: no dim x dim array is built.
+    """
+    phases = _PHASES[(dim - 1 - np.arange(2 * dim - 1)) % 4]
+    if inverse:
+        phases = phases.conj()
+    phases.flags.writeable = False
+    step = phases.itemsize
+    return np.ndarray((dim, dim), phases.dtype, phases, offset=(dim - 1) * step,
+                      strides=(-step, step))
 
 
 def _gauged_superoperator(params: ModelParams) -> sparse.csr_matrix:
@@ -334,49 +387,53 @@ def _solve_with_trace_row(liou, dim):
 
 
 def _resonant_steady_rho(params: ModelParams) -> np.ndarray:
-    """Closed-form resonant steady state rho ~ Y^+ Y, Y = (1 - S+/g)^-1.
+    """Closed-form resonant steady state rho ~ Y^+ Y, Y = (1 - S+/g)^-1,
+    in the gauge: the real symmetric R_{m,m'} = i^{m-m'} rho_{m,m'}.
 
     g = i*rabi/gamma (Puri & Lawande, Phys. Lett. A 72, 200 (1979);
-    Carmichael, J. Phys. B 13, 3551 (1980)). With c_i = prod_{k<i} A_k / g^i,
-    Y[i, j] = c_i / c_j for i >= j, so the populations obey
-    d_l = 1 + (A_l/|g|)^2 d_{l+1} from d_N = 1, and each coherence above
-    the diagonal follows from the one below it,
-    rho[j, l] = conj(A_j/g) rho[j+1, l]. Built in O(N^2) with no inverse
-    or matrix product; the populations are rescaled as they grow, so
-    nothing overflows at weak drive and large N.
+    Carmichael, J. Phys. B 13, 3551 (1980)). With r = rabi/gamma the
+    populations p obey d_l = 1 + (A_l/r)^2 d_{l+1} from d_N = 1, and the
+    gauged state is real, positive and semiseparable: above the diagonal
+    R[j, l] = p_l prod_{k=j}^{l-1} A_k/r. That is one reverse cumulative
+    product down each column, starting from p_l on the diagonal, in
+    O(N^2) with no inverse or matrix product. The populations are
+    rescaled as they grow, so nothing overflows at weak drive and large
+    N.
     """
     n = params.n_atoms
     a = _coupling_array(n)[:-1]
-    g = 1j * params.rabi / params.gamma
-    ratio = (a / abs(g)) ** 2
-    pops = np.empty(n + 1)
-    pops[n] = one = 1.0
-    for l in range(n - 1, -1, -1):
-        pops[l] = one + ratio[l] * pops[l + 1]
-        if pops[l] > 1e150:
+    r = params.rabi / params.gamma
+    d, one = [1.0], 1.0
+    for q in ((a / r) ** 2)[::-1].tolist():
+        d.append(one + q * d[-1])
+        if d[-1] > 1e150:
             # Rescale the tail and the constant term together.
-            scale = pops[l]
-            pops[l:] /= scale
+            scale = d[-1]
+            d = [v / scale for v in d]
             one /= scale
+    pops = np.array(d[::-1])
     pops /= pops.sum()
 
-    rho = np.diag(pops.astype(complex))
-    step = np.conj(a / g)
-    for j in range(n - 1, -1, -1):
-        rho[j, j + 1:] = step[j] * rho[j + 1, j + 1:]
-    return rho + np.triu(rho, 1).conj().T
-
-
-def _residual(state: DickeLadderState, params: ModelParams) -> float:
-    """max |L rho|: how far the state is from stationary."""
-    return float(np.max(np.abs(liouvillian_rhs(state, params))))
+    # Column l of `steps`, read from the bottom: ones below the diagonal,
+    # p_l on it, then A_{l-1}/r, A_{l-2}/r, ... above it. A_k/r is taken
+    # as A_k * (1/r), which is how numpy rounds the complex A_k/g, so the
+    # un-gauged R has the values of the complex closed form to the bit.
+    idx = np.arange(n + 1)
+    below = np.greater.outer(idx, idx)
+    steps = np.where(below, 1.0, np.append(a * (1.0 / r), 1.0)[:, None])
+    steps.flat[:: n + 2] = pops
+    upper = np.cumprod(steps[::-1], axis=0, out=steps[::-1])[::-1]
+    np.copyto(upper, upper.T, where=below)
+    return upper
 
 
 def steady_state(params: ModelParams, resid_tol: float = 1e-10) -> DickeLadderState:
     """Exact steady state of the master equation.
 
     Resonant drive (detuning == 0) takes the closed form of
-    `_resonant_steady_rho`, O(N^2) in time and memory, tested up to
+    `_resonant_steady_rho`, built and checked in the real gauge: its
+    residual is `_gauged_rhs` of the real R, the stencil that
+    `liouvillian_rhs` applies. O(N^2) in time and memory, tested up to
     N = 2000 at beta = 0.01..100. Detuned drive has no such closed form:
     it solves the trace-constrained linear system for the null vector of
     the Liouvillian, one sparse LU of an (N+1)^2-dimensional system.
@@ -391,15 +448,24 @@ def steady_state(params: ModelParams, resid_tol: float = 1e-10) -> DickeLadderSt
         state.residual = 0.0
         return state
     if params.detuning == 0.0:
-        rho = _resonant_steady_rho(params)
+        gauged = _resonant_steady_rho(params)
+        rhs = _gauged_rhs(gauged, params, symmetric=True)
+        residual = float(np.abs(rhs, out=rhs).max())
+        del rhs  # freed before rho is built: fewer pages live at once
+        # Cast first: a real array times the complex phase view takes
+        # numpy's buffered casting path, which page-faults at large N.
+        rho = gauged.astype(complex)
+        rho *= _gauge(n + 1, inverse=True)
+        state = DickeLadderState(n, rho)
+        state.residual = residual
     else:
         dim = n + 1
         v = _solve_with_trace_row(_superoperator(params), dim)
         rho = v.reshape(dim, dim, order="F")
         rho = 0.5 * (rho + rho.conj().T)
         rho /= np.real(np.trace(rho))
-    state = DickeLadderState(n, rho)
-    state.residual = _residual(state, params)
+        state = DickeLadderState(n, rho)
+        state.residual = float(np.max(np.abs(liouvillian_rhs(state, params))))
     if not state.residual <= resid_tol:
         raise RuntimeError(
             f"steady-state residual {state.residual:.3e} exceeds {resid_tol:.1e}"
@@ -415,18 +481,19 @@ def observables(state: DickeLadderState) -> ObservableSet:
     """
     n = state.n_atoms
     s = n / 2.0
-    a = _coupling_array(n)
-    am1 = np.concatenate(([0.0], a[:-1]))
-    am2 = np.concatenate(([0.0, 0.0], a[:-2]))
-    pops = np.real(np.diag(state.rho))
+    # am2[i] = A_{m-2}, am1[i] = A_{m-1}: slices of one padded array.
+    padded = np.concatenate(([0.0, 0.0], _coupling_array(n)[:-1]))
+    am2, am1 = padded[:-1], padded[1:]
+    am1_sq = am1**2
+    pops = state.rho.diagonal().real
     m = np.arange(n + 1) - s
 
-    s_z = float(np.sum(m * pops) / s)
+    s_z = float((m * pops).sum() / s)
     n_e = 0.5 * (s_z + 1.0)
     # <S-> = sum_m A_{m-1} rho_{m,m-1}
-    dipole = complex(np.sum(am1[1:] * np.diag(state.rho, -1)))
-    spsm = float(np.sum(am1**2 * pops))
-    g2_num = float(np.sum(am1**2 * am2**2 * pops))
+    dipole = complex((am1[1:] * state.rho.diagonal(-1)).sum())
+    spsm = float((am1_sq * pops).sum())
+    g2_num = float((am1_sq * am2**2 * pops).sum())
     return ObservableSet(
         s_z=s_z,
         n_e=n_e,

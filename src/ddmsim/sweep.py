@@ -78,6 +78,8 @@ class SweepSpec:
             grid = self.grids.get(name)
             if not isinstance(grid, (list, tuple)) or len(grid) == 0:
                 raise ConfigError(f"mode {self.mode!r} needs a non-empty list {name!r}")
+            if any(isinstance(value, bool) for value in grid):
+                raise ConfigError(f"grid {name!r} must hold numbers, got {grid!r}")
         extra = set(self.grids) - set(mode.grids)
         if extra:
             raise ConfigError(f"unknown grids for mode {self.mode!r}: {sorted(extra)}")
@@ -93,16 +95,22 @@ class SweepSpec:
         if unread:
             raise ConfigError(f"mode {self.mode!r} does not read {sorted(unread)}")
         t_final = self.settings.get("t_final", T_FINAL)
+        n_samples = self.settings.get("n_samples", N_SAMPLES)
+        # JSON true/false would pass as 1/0 (bool is an int in Python).
+        scalars = ("tol", self.tol), ("t_final", t_final), ("n_samples", n_samples)
+        for name, value in scalars:
+            if isinstance(value, bool):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
         for name, value in ("tol", self.tol), ("t_final", t_final):
             if not 0 < _real(value) < math.inf:
                 raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
-        n_samples = self.settings.get("n_samples", N_SAMPLES)
         if not (_real(n_samples).is_integer() and _real(n_samples) >= 2):
             raise ConfigError(f"n_samples must be whole and >= 2, got {n_samples!r}")
         for n in self.grids["n_atoms"] if mode.whole_n else ():
             if not _real(n).is_integer():
                 raise ConfigError(f"mode {self.mode!r} needs whole atom numbers, "
                                   f"got n_atoms = {n!r}")
+        self.tol = _real(self.tol)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SweepSpec":
@@ -119,7 +127,7 @@ class SweepSpec:
             grids=doc.get("grids", {}),
             outputs=doc.get("outputs", []),
             output_path=doc.get("output_path"),
-            tol=_real(doc.get("tol", DEFAULT_TOL)),
+            tol=doc.get("tol", DEFAULT_TOL),
             settings=doc.get("settings", {}),
         )
 

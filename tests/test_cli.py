@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import ddmsim.cli
+import ddmsim.sweep
 from ddmsim.analysis import FitConvergenceError
 from ddmsim.cli import _read_table, build_parser, main
 
@@ -95,6 +96,19 @@ class TestSweepCommands:
         code, _, err = run_cli(capsys, "steady", "--n-atoms", "-4", "--rabi", "2.0")
         assert code == 2
         assert "solver failure" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("steady", "--n-atoms", "4", "--rabi", "nan"),
+        ("steady", "--n-atoms", "4", "--rabi", "inf"),
+        ("phase-diagram", "--n-atoms", "4", "--beta=-inf"),
+    ])
+    def test_non_finite_drive_is_an_error_row(self, capsys, recwarn, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ddmsim: solver failure: ")
+        assert "rabi must be finite" in err and err.count("\n") == 1
+        assert not recwarn.list
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_rejected(self, capsys, threads):
@@ -313,6 +327,34 @@ class TestSettings:
         assert code == 1
         assert out == ""
         assert err.startswith("ddmsim: config error: ")
+
+    @pytest.mark.parametrize("doc, name", [
+        ({"mode": "steady_state", "grids": {"n_atoms": [True], "rabi": [1.0]}},
+         "n_atoms"),
+        ({"mode": "steady_state", "grids": {"n_atoms": [2], "rabi": [1.0, False]}},
+         "rabi"),
+        ({"mode": "phase_diagram", "grids": {"n_atoms": [2], "beta": [True]}},
+         "beta"),
+        ({"mode": "screening_curve", "grids": {"n_atoms": [True], "beta": [0.5]}},
+         "n_atoms"),
+        ({"mode": "cooperativity", "grids": {"ell_ax": [True], "ell_rad": [0.5]}},
+         "ell_ax"),
+        ({"mode": "dynamics", "grids": {"n_atoms": [2], "rabi": [1.0]},
+          "tol": True}, "tol"),
+        ({"mode": "dynamics", "grids": {"n_atoms": [2], "rabi": [1.0]},
+          "settings": {"t_final": True}}, "t_final"),
+        ({"mode": "dynamics", "grids": {"n_atoms": [2], "rabi": [1.0]},
+          "settings": {"n_samples": True}}, "n_samples"),
+    ])
+    def test_json_boolean_is_config_error(self, capsys, tmp_path, doc, name):
+        # JSON true/false is not read as 1/0.
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(doc))
+        command = ddmsim.sweep.SWEEP_MODES[doc["mode"]].command
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("ddmsim: config error: ") and name in err
 
     def test_flags_override_config_settings(self, capsys, tmp_path):
         path = tmp_path / "dyn.json"

@@ -10,6 +10,8 @@ from ddmsim.ladder import (
     DickeLadderState,
     UndefinedCorrelationError,
     _coupling_array,
+    _gauge,
+    _gauged_rhs,
     _gauged_superoperator,
     _propagate_dense,
     _propagate_sparse,
@@ -384,6 +386,95 @@ class TestPropagator:
         with pytest.raises(ValueError, match="n_samples"):
             evolve(DickeLadderState.ground(2), ModelParams(n_atoms=2, rabi=1.0),
                    1.0, n_samples=n_samples)
+
+
+def row_recurrence_steady_rho(params):
+    """The resonant closed form rho ~ Y^+ Y as a complex row recurrence,
+    the construction `steady_state` used before the real-gauge cumulative
+    product, kept as the reference: populations from the top, then each
+    coherence from the one below it, rho[j, l] = conj(A_j/g) rho[j+1, l]."""
+    n = params.n_atoms
+    a = _coupling_array(n)[:-1]
+    g = 1j * params.rabi / params.gamma
+    ratio = (a / abs(g)) ** 2
+    pops = np.empty(n + 1)
+    pops[n] = one = 1.0
+    for l in range(n - 1, -1, -1):
+        pops[l] = one + ratio[l] * pops[l + 1]
+        if pops[l] > 1e150:
+            scale = pops[l]
+            pops[l:] /= scale
+            one /= scale
+    pops /= pops.sum()
+
+    rho = np.diag(pops.astype(complex))
+    step = np.conj(a / g)
+    for j in range(n - 1, -1, -1):
+        rho[j, j + 1:] = step[j] * rho[j + 1, j + 1:]
+    return rho + np.triu(rho, 1).conj().T
+
+
+class TestRealGaugeSteadyState:
+    """The resonant steady state built in the real gauge: one reverse
+    cumulative product for the closed form, and the real stencil for its
+    residual."""
+
+    BETAS = (0.01, 0.3, 0.5, 0.95, 1.05, 1.1, 2.75, 100.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 10, 31, 62, 98, 140, 500, 2000])
+    def test_matches_row_recurrence(self, n):
+        # Equal in value everywhere, and bit for bit on the diagonal and
+        # the first subdiagonal, which are all that `observables` reads.
+        # (Zero real or imaginary parts above the diagonal may carry the
+        # other sign: -0.0 for 0.0.) N = 2000 at beta = 0.01 rescales the
+        # populations 49 times.
+        cases = [ModelParams(n_atoms=n, rabi=0.5 * beta * n) for beta in self.BETAS]
+        cases.append(ModelParams(n_atoms=n, rabi=0.55 * n * 2.5, gamma=2.5))
+        for params in cases:
+            rho = steady_state(params).rho
+            ref = row_recurrence_steady_rho(params)
+            assert np.array_equal(rho, ref), params
+            for k in (0, -1):
+                assert rho.diagonal(k).tobytes() == ref.diagonal(k).tobytes(), params
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 24])
+    @pytest.mark.parametrize("gamma", [1.0, 2.5])
+    def test_gauged_stencil_is_the_gauged_superoperator(self, n, gamma):
+        # The real stencil on any real x, against the real part of the
+        # gauged sparse L (its imaginary part is exactly zero).
+        params = ModelParams(n_atoms=n, rabi=0.9 * n, gamma=gamma)
+        dim = n + 1
+        x = np.random.default_rng(n).normal(size=(dim, dim))
+        ref = (_gauged_superoperator(params).real @ x.ravel(order="F")).reshape(
+            dim, dim, order="F")
+        stencil = _gauged_rhs(x, params)
+        assert not np.iscomplexobj(stencil)
+        assert np.max(np.abs(stencil - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 24])
+    def test_symmetric_input_takes_one_row_half(self, n):
+        params = ModelParams(n_atoms=n, rabi=0.9 * n)
+        dim = n + 1
+        x = np.random.default_rng(n).normal(size=(dim, dim))
+        x += x.T
+        assert np.array_equal(_gauged_rhs(x, params, symmetric=True),
+                              _gauged_rhs(x, params))
+
+    @pytest.mark.parametrize("dim", range(1, 10))
+    def test_gauge_is_the_phase_table(self, dim):
+        idx = np.arange(dim)
+        table = np.array([1, 1j, -1, -1j])[(idx[:, None] - idx[None, :]) % 4]
+        assert _gauge(dim).tobytes() == table.tobytes()
+        assert _gauge(dim, inverse=True).tobytes() == table.conj().tobytes()
+        assert not _gauge(dim).flags.writeable
+
+
+class TestModelParams:
+    @pytest.mark.parametrize("field", ["rabi", "detuning", "gamma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_drive(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ModelParams(n_atoms=4, **{"rabi": 1.0, field: value})
 
 
 class TestSteadyState:
