@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -88,7 +89,9 @@ def _add_sweep_parser(sub, name: str, mode):
         p.add_argument("--n-samples", type=int, help="samples per dynamics trace")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process (a build takes about 2 ms)."""
     parser = _Parser(prog="ddmsim",
                      description="Driven Dicke model simulations and sweeps")
     parser.add_argument("--version", action="version", version=__version__)

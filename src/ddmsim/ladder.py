@@ -2,10 +2,11 @@
 
 The density matrix of N driven two-level atoms that couple identically to
 the field stays inside the maximal-spin ladder |S = N/2, m>, m = -S..S.
-This module evolves rho_{m,m'} under the driven-dissipative master
-equation, computes exact steady states, and extracts the collective
-observables (magnetization, dipole, emission rate, intensity
-correlations).
+This module evolves rho_{m,m'} under the master equation of resonant
+drive and collective decay, computes exact steady states, and extracts
+the collective observables (magnetization, dipole, emission rate,
+intensity correlations). Detuned drive is left to the 2^N oracle
+(`ddmsim.oracle`): every solver here rejects it.
 
 Storage convention: rho is a dense (N+1) x (N+1) complex array, index
 i = m + S running from 0 (all atoms in the ground state) to N (all
@@ -16,17 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ddmsim.params import ModelParams
 
 # scipy is imported inside the functions that call it, so that importing
-# this module (and the CLI, and every subcommand that never solves or
-# propagates a ladder state) loads numpy only.
-if TYPE_CHECKING:
-    import scipy.sparse as sparse
+# this module (and the CLI, and every subcommand that never propagates a
+# ladder state beyond N = 47) loads numpy only.
 
 
 def __getattr__(name):
@@ -38,14 +36,6 @@ def __getattr__(name):
         from scipy.integrate import solve_ivp
         return solve_ivp
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-class NonConvergenceError(RuntimeError):
-    """Integrator failed; carries the last successfully reached time."""
-
-    def __init__(self, message, last_time):
-        super().__init__(message)
-        self.last_time = last_time
 
 
 class UndefinedCorrelationError(ValueError):
@@ -118,28 +108,20 @@ class ObservableSet:
 
 
 def liouvillian_rhs(state: DickeLadderState, params: ModelParams) -> np.ndarray:
-    """Time derivative of the ladder density matrix.
+    """Time derivative of the ladder density matrix, any complex rho.
 
-    The master equation of `_superoperator` as an O(N^2) stencil, with
-    no (N+1)^2-dimensional operator. The resonant part is applied in the
-    gauge rho_{mm'} -> i^{m-m'} rho_{mm'}, where its coefficients are
-    real (`_gauged_rhs`): gauge, stencil, un-gauge. Detuned drive adds
-    its diagonal term +i(detuning/2)(m - m') rho_{m,m'} afterwards.
+    An O(N^2) stencil, with no (N+1)^2-dimensional operator, applied in
+    the gauge rho_{mm'} -> i^{m-m'} rho_{mm'}, where its coefficients are
+    real (`_gauged_rhs`): gauge, stencil, un-gauge.
     """
+    params.require_resonant()
     if params.n_atoms != state.n_atoms:
         raise ValueError(
             f"state has N = {state.n_atoms} but params have N = {params.n_atoms}"
         )
-    rho = state.rho
-    dim = rho.shape[0]
-    out = _gauged_rhs(rho * _gauge(dim), params)
+    dim = state.n_atoms + 1
+    out = _gauged_rhs(state.rho * _gauge(dim), params)
     out *= _gauge(dim, inverse=True)
-    if params.detuning != 0.0:
-        # Rotating-frame extension beyond the resonant ladder equations:
-        # H contains -(detuning/2) S_z. The term is diagonal in (m, m'),
-        # so it is the same in either gauge.
-        idx = np.arange(dim)
-        out += 0.5j * params.detuning * (idx[:, None] - idx[None, :]) * rho
     return out
 
 
@@ -199,16 +181,17 @@ def evolve(
     a sample whose trace differs from tr rho0 by more than tol raises a
     RuntimeError.
 
-    Resonant drive with a state0 that the gauge rho_{mm'} ->
-    i^{m-m'} rho_{mm'} makes real and symmetric (the ground state, every
-    resonant steady state) propagates on that real symmetric sector of
-    the gauged L, (N+1)(N+2)/2 reals. Any other input (detuned drive, a
-    state0 outside the sector) propagates vec(rho), the column-major
-    stacking of rho, with the full complex L of `_superoperator`. Up to
-    _DENSE_MAX_ROWS rows of the operator, one dense step propagator is
-    formed and applied n_samples - 1 times (`_propagate_dense`); above
-    it, scipy's `expm_multiply` takes the whole grid (`_propagate_sparse`).
+    state0 must be real and symmetric under the gauge rho_{mm'} ->
+    i^{m-m'} rho_{mm'} (the ground state and every resonant steady state
+    are), or a ValueError is raised: L keeps that sector, and it
+    propagates there as (N+1)(N+2)/2 reals with the real operator of
+    `_sector_operator`. Up to _DENSE_MAX_ROWS rows that operator is a
+    dense array, whose step propagator is formed once and applied
+    n_samples - 1 times (`_propagate_dense`); above it, scipy's
+    `expm_multiply` takes the sparse operator over the whole grid
+    (`_propagate_sparse`).
     """
+    params.require_resonant()
     if not 0 < t_final < np.inf:
         raise ValueError(f"t_final must be finite and > 0, got {t_final}")
     if not 0 < tol < np.inf:
@@ -223,24 +206,16 @@ def evolve(
     dim, n_samples = n + 1, int(n_samples)
     phase = _gauge(dim)
     gauged = state0.rho * phase
-    sector = (params.detuning == 0.0 and not gauged.imag.any()
-              and np.array_equal(gauged, gauged.T))
-    if sector:
-        rows, cols = np.triu_indices(dim)
-        op = _sector_operator(_gauged_superoperator(params), dim)
-        u0 = gauged.real[rows, cols]
-    else:
-        op, u0 = _superoperator(params), state0.rho.ravel(order="F")
-    if op.shape[0] <= _DENSE_MAX_ROWS:
-        u = _propagate_dense(op, u0, t_final, n_samples)
-    else:
-        u = _propagate_sparse(op, u0, t_final, n_samples)
-    if sector:
-        rho = np.empty((n_samples, dim, dim), dtype=complex)
-        rho[:, rows, cols] = u * phase[rows, cols].conj()
-        rho[:, cols, rows] = u * phase[cols, rows].conj()
-    else:
-        rho = u.reshape(n_samples, dim, dim).transpose(0, 2, 1)
+    if gauged.imag.any() or not np.array_equal(gauged, gauged.T):
+        raise ValueError("state0 must be real and symmetric under the gauge "
+                         "rho_{mm'} -> i^{m-m'} rho_{mm'}")
+    rows, cols = np.triu_indices(dim)
+    op = _sector_operator(params)
+    propagate = _propagate_dense if isinstance(op, np.ndarray) else _propagate_sparse
+    u = propagate(op, gauged.real[rows, cols], t_final, n_samples)
+    rho = np.empty((n_samples, dim, dim), dtype=complex)
+    rho[:, rows, cols] = u * phase[rows, cols].conj()
+    rho[:, cols, rows] = u * phase[cols, rows].conj()
     states = [DickeLadderState(n, r) for r in rho]
     tr0 = state0.trace()
     drift = max(abs(state.trace() - tr0) for state in states)
@@ -249,11 +224,57 @@ def evolve(
     return np.linspace(0.0, t_final, n_samples), states
 
 
-# Largest operator that `evolve` exponentiates densely (N = 47 on the
-# symmetric sector). On 2 cores the wall times of the two branches cross
-# between N = 48 and 56 (1225 and 1653 rows); the dense products also
-# take about twice their wall time in CPU there, on BLAS threads.
+# Largest sector operator built as a dense array, which `evolve` then
+# exponentiates densely (N = 47). On 2 cores the wall times of the two
+# branches cross between N = 48 and 56 (1225 and 1653 rows); the dense
+# products also take about twice their wall time in CPU there, on BLAS
+# threads.
 _DENSE_MAX_ROWS = 1200
+
+
+def _sector_operator(params: ModelParams):
+    """The gauged L on the real symmetric sector, from the ladder
+    coefficients.
+
+    A coordinate is an upper-triangle element x_{j,l}, j <= l, in
+    np.triu_indices order. With the coefficients of `_gauged_rhs`,
+    (L x)_{j,l} takes x_{j,l} itself, x_{j+1,l+1} (decay feed) and the
+    drive neighbours x_{j-1,l}, x_{j+1,l}, x_{j,l-1}, x_{j,l+1}; a
+    neighbour below the diagonal is its mirror above it, which on the
+    diagonal adds two equal terms. The (row, col, value) triplets are
+    summed into a dense array up to _DENSE_MAX_ROWS rows and into a
+    scipy sparse array above that.
+    """
+    n = params.n_atoms
+    a = _coupling_array(n)  # a[N] = A_S = 0
+    drive = 0.5 * params.rabi * a
+    a_below_sq = np.concatenate(([0.0], a[:-1] ** 2))  # A_{m-1}^2
+    j, l = np.triu_indices(n + 1)
+    size = j.size
+    coord = np.empty((n + 1, n + 1), dtype=np.intp)
+    coord[j, l] = coord[l, j] = np.arange(size)
+    # Row t of coeff: the coefficient of x_{j+dj[t], l+dl[t]} in
+    # (L x)_{j,l}. A neighbour off the ladder has coefficient 0 (drive[-1]
+    # wraps to A_S = 0), so it drops out with the other zeros before its
+    # index is looked up.
+    dj = np.array([0, 1, -1, 1, 0, 0])
+    dl = np.array([0, 1, 0, 0, -1, 1])
+    coeff = np.array([
+        0.5 * params.gamma * (-a_below_sq[j] - a_below_sq[l]),  # decay drain
+        params.gamma * (a[l] * a[j]),  # decay feed
+        drive[j - 1], -drive[j], drive[l - 1], -drive[l],
+    ])
+    term, rows = np.nonzero(coeff)
+    cols = coord[j[rows] + dj[term], l[rows] + dl[term]]
+    vals = coeff[term, rows]
+    if size <= _DENSE_MAX_ROWS:
+        return np.bincount(rows * size + cols, weights=vals,
+                           minlength=size * size).reshape(size, size)
+    import scipy.sparse as sparse
+
+    return sparse.csr_array((vals, (rows, cols)), shape=(size, size))
+
+
 # Taylor degree for ||A dt||_1 <= 1/2 after scaling: the truncated tail
 # is below 2^-53 relative.
 _TAYLOR_THETA, _TAYLOR_DEGREE = 0.5, 14
@@ -269,8 +290,7 @@ def _propagate_dense(op, u0, t_final, n_samples):
     dt = t_final / (n_samples - 1)
     norm = abs(op).sum(axis=0).max() * dt
     squarings = int(np.ceil(np.log2(max(norm / _TAYLOR_THETA, 1.0))))
-    x = op.toarray()
-    x *= dt / 2.0**squarings
+    x = op * (dt / 2.0**squarings)
     p, tmp = x / _TAYLOR_DEGREE, np.empty_like(x)
     p.flat[:: x.shape[0] + 1] += 1.0
     for k in range(_TAYLOR_DEGREE - 1, 0, -1):
@@ -289,7 +309,7 @@ def _propagate_dense(op, u0, t_final, n_samples):
 
 
 def _propagate_sparse(op, u0, t_final, n_samples):
-    """The samples of `_propagate_dense`, by scipy's expm_multiply on the
+    """The samples of `_propagate_dense`, by scipy's expm_multiply on a
     sparse op (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011))."""
     from scipy.sparse.linalg import expm_multiply
 
@@ -316,74 +336,6 @@ def _gauge(dim: int, inverse: bool = False) -> np.ndarray:
     step = phases.itemsize
     return np.ndarray((dim, dim), phases.dtype, phases, offset=(dim - 1) * step,
                       strides=(-step, step))
-
-
-def _gauged_superoperator(params: ModelParams) -> sparse.csr_matrix:
-    """`_superoperator` under rho_{mm'} -> i^{m-m'} rho_{mm'}.
-
-    Every drive entry picks up a factor +-i and every other entry a
-    factor 1, so at zero detuning the result is exactly real.
-    """
-    liou = _superoperator(params).tocoo()
-    phase = _gauge(params.n_atoms + 1).ravel(order="F")
-    liou.data *= phase[liou.row] * phase[liou.col].conj()
-    return liou.tocsr()
-
-
-def _sector_operator(gauged: sparse.csr_matrix, dim: int) -> sparse.csr_matrix:
-    """The real part of a gauged L on real symmetric rho.
-
-    A real, Hermiticity-preserving L maps real symmetric matrices to
-    real symmetric matrices; the sector's coordinates are the upper
-    triangle (np.triu_indices order) of rho.
-    """
-    import scipy.sparse as sparse
-
-    rows, cols = np.triu_indices(dim)
-    upper, lower = rows + cols * dim, cols + rows * dim
-    k = np.arange(rows.size)
-    off = rows != cols
-    embed = sparse.csr_matrix(
-        (np.ones(rows.size + np.count_nonzero(off)),
-         (np.concatenate([upper, lower[off]]), np.concatenate([k, k[off]]))),
-        shape=(dim * dim, rows.size),
-    )
-    return (gauged.real[upper] @ embed).tocsr()
-
-
-def _superoperator(params: ModelParams) -> sparse.csr_matrix:
-    """Sparse Liouvillian acting on vec(rho) (column-major stacking)."""
-    import scipy.sparse as sparse
-
-    n = params.n_atoms
-    a = _coupling_array(n)
-    dim = n + 1
-    sm = sparse.diags(a[:-1], 1, format="csr")  # <i-1|S-|i> = A[i-1]
-    sp_op = sm.T.tocsr()
-    m_diag = np.arange(dim) - n / 2.0
-    ham = 0.5 * params.rabi * (sp_op + sm) - 0.5 * params.detuning * sparse.diags(m_diag)
-    ident = sparse.identity(dim, format="csr")
-    spsm = (sp_op @ sm).tocsr()
-    liou = -1j * (sparse.kron(ident, ham) - sparse.kron(ham.T, ident))
-    liou = liou + 0.5 * params.gamma * (
-        2.0 * sparse.kron(sp_op.T, sm)
-        - sparse.kron(ident, spsm)
-        - sparse.kron(spsm.T, ident)
-    )
-    return liou.tocsr()
-
-
-def _solve_with_trace_row(liou, dim):
-    """Solve L v = 0 with the first row replaced by the trace condition."""
-    from scipy.sparse.linalg import spsolve
-
-    mat = liou.tolil(copy=True)
-    mat[0, :] = 0.0
-    for c in np.arange(dim) * (dim + 1):
-        mat[0, c] = 1.0
-    b = np.zeros(dim * dim, dtype=complex)
-    b[0] = 1.0
-    return spsolve(mat.tocsc(), b)
 
 
 def _resonant_steady_rho(params: ModelParams) -> np.ndarray:
@@ -430,42 +382,30 @@ def _resonant_steady_rho(params: ModelParams) -> np.ndarray:
 def steady_state(params: ModelParams, resid_tol: float = 1e-10) -> DickeLadderState:
     """Exact steady state of the master equation.
 
-    Resonant drive (detuning == 0) takes the closed form of
-    `_resonant_steady_rho`, built and checked in the real gauge: its
-    residual is `_gauged_rhs` of the real R, the stencil that
-    `liouvillian_rhs` applies. O(N^2) in time and memory, tested up to
-    N = 2000 at beta = 0.01..100. Detuned drive has no such closed form:
-    it solves the trace-constrained linear system for the null vector of
-    the Liouvillian, one sparse LU of an (N+1)^2-dimensional system.
-    Either way a Liouvillian residual max |L rho| above resid_tol (or a
-    non-finite one) raises a RuntimeError; the returned state carries
-    that residual in its `residual` field.
+    The closed form of `_resonant_steady_rho`, built and checked in the
+    real gauge: its residual is `_gauged_rhs` of the real R, the stencil
+    that `liouvillian_rhs` applies. O(N^2) in time and memory, tested up
+    to N = 2000 at beta = 0.01..100. A Liouvillian residual max |L rho|
+    above resid_tol (or a non-finite one) raises a RuntimeError; the
+    returned state carries that residual in its `residual` field.
     """
+    params.require_resonant()
     n = params.n_atoms
     if params.rabi == 0.0:
         # The undriven ground state is dark: L rho = 0 exactly.
         state = DickeLadderState.ground(n)
         state.residual = 0.0
         return state
-    if params.detuning == 0.0:
-        gauged = _resonant_steady_rho(params)
-        rhs = _gauged_rhs(gauged, params, symmetric=True)
-        residual = float(np.abs(rhs, out=rhs).max())
-        del rhs  # freed before rho is built: fewer pages live at once
-        # Cast first: a real array times the complex phase view takes
-        # numpy's buffered casting path, which page-faults at large N.
-        rho = gauged.astype(complex)
-        rho *= _gauge(n + 1, inverse=True)
-        state = DickeLadderState(n, rho)
-        state.residual = residual
-    else:
-        dim = n + 1
-        v = _solve_with_trace_row(_superoperator(params), dim)
-        rho = v.reshape(dim, dim, order="F")
-        rho = 0.5 * (rho + rho.conj().T)
-        rho /= np.real(np.trace(rho))
-        state = DickeLadderState(n, rho)
-        state.residual = float(np.max(np.abs(liouvillian_rhs(state, params))))
+    gauged = _resonant_steady_rho(params)
+    rhs = _gauged_rhs(gauged, params, symmetric=True)
+    residual = float(np.abs(rhs, out=rhs).max())
+    del rhs  # freed before rho is built: fewer pages live at once
+    # Cast first: a real array times the complex phase view takes
+    # numpy's buffered casting path, which page-faults at large N.
+    rho = gauged.astype(complex)
+    rho *= _gauge(n + 1, inverse=True)
+    state = DickeLadderState(n, rho)
+    state.residual = residual
     if not state.residual <= resid_tol:
         raise RuntimeError(
             f"steady-state residual {state.residual:.3e} exceeds {resid_tol:.1e}"

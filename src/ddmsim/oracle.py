@@ -17,9 +17,18 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from ddmsim.params import ModelParams
-from ddmsim.ladder import DickeLadderState, NonConvergenceError
+from ddmsim.ladder import DickeLadderState
 
 MAX_ATOMS = 4
+
+
+class NonConvergenceError(RuntimeError):
+    """Integrator failed; carries the last successfully reached time."""
+
+    def __init__(self, message, last_time):
+        super().__init__(message)
+        self.last_time = last_time
+
 
 # Basis convention: qubit state 1 = excited, 0 = ground; basis vector
 # index b has atom i excited iff bit i of b is set (atom 0 = least

@@ -14,6 +14,8 @@ class ModelParams:
     ``gamma`` (kept as an explicit field but fixed to 1 by convention).
     ``n_atoms`` is the atom number N, or the effective atom number when
     modeling an extended cloud through its diffraction mode.
+    ``detuning`` is read by the 2^N oracle (`ddmsim.oracle`) only; the
+    ladder solvers take resonant drive and reject a non-zero value.
     """
 
     n_atoms: int
@@ -32,6 +34,12 @@ class ModelParams:
             raise ValueError(f"rabi must be >= 0, got {self.rabi}")
         if self.gamma <= 0:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
+
+    def require_resonant(self) -> None:
+        """Raise ValueError unless the drive is resonant (detuning 0)."""
+        if self.detuning != 0.0:
+            raise ValueError("the ladder solvers take resonant drive only, "
+                             f"got detuning = {self.detuning!r}")
 
     @property
     def beta(self) -> float:

@@ -266,6 +266,30 @@ class TestOptions:
         assert out == ""
         assert err.startswith("ddmsim: config error: ")
 
+    def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
+        # _Parser makes the top parser and each subparser. A usage error
+        # in the first call leaves the shared parser as it was.
+        builds = []
+        init = ddmsim.cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        monkeypatch.setattr(ddmsim.cli._Parser, "__init__", counting_init)
+        build_parser.cache_clear()
+        argv = ["steady", "--n-atoms", "4", "--rabi", "2"]
+        assert run_cli(capsys, *argv, "--bogus", "1")[0] == 1
+        built = len(builds)
+        assert built > 0
+        reused = run_cli(capsys, *argv)
+        assert len(builds) == built
+        build_parser.cache_clear()
+        fresh = run_cli(capsys, *argv)
+        assert len(builds) == 2 * built
+        assert reused == fresh and reused[0] == 0
+
     @pytest.mark.parametrize("prefix", ["--thread", "--outp", "--t-final-n"])
     def test_option_prefix_is_config_error(self, capsys, prefix):
         # A prefix of an option is not that option (--thread is not

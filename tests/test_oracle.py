@@ -19,21 +19,44 @@ def n2_singlet():
     return FullState(2, np.outer(vec, vec.conj()))
 
 
+def random_qubit_rho(seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho)
+
+
 class TestFullRhs:
     def test_capacity_limit(self):
         with pytest.raises(ValueError):
             FullState.ground(5)
 
     def test_single_atom_matches_ladder(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        rho = a @ a.conj().T
-        rho /= np.trace(rho)
-        params = ModelParams(n_atoms=1, rabi=2.3, detuning=0.4)
+        rho = random_qubit_rho(0)
+        params = ModelParams(n_atoms=1, rabi=2.3)
         # Single-atom bases coincide: index 0 = ground in both.
         full = full_lindblad_rhs(FullState(1, rho), params)
         ladder = liouvillian_rhs(DickeLadderState(1, rho), params)
         assert np.max(np.abs(full - ladder)) < 1e-13
+
+    @pytest.mark.parametrize("detuning", [-0.9, 0.4])
+    @pytest.mark.parametrize("gamma", [1.0, 2.5])
+    def test_single_atom_detuning_matches_bloch_equations(self, detuning, gamma):
+        # The ladder solvers are resonant-only; the oracle's detuning
+        # term, H = (rabi/2) sigma_x - (detuning/2) S_z, against the
+        # optical Bloch equations written out.
+        rho = random_qubit_rho(1)
+        omega = 2.3
+        params = ModelParams(n_atoms=1, rabi=omega, detuning=detuning, gamma=gamma)
+        rhs = full_lindblad_rhs(FullState(1, rho), params)
+        ee, eg = rho[1, 1], rho[1, 0]
+        ge, gg = rho[0, 1], rho[0, 0]
+        d_ee = -0.5j * omega * (ge - eg) - gamma * ee
+        d_eg = -0.5j * omega * (gg - ee) + 0.5j * detuning * eg - 0.5 * gamma * eg
+        assert rhs[1, 1] == pytest.approx(d_ee, abs=1e-14)
+        assert rhs[1, 0] == pytest.approx(d_eg, abs=1e-14)
+        assert rhs[0, 1] == pytest.approx(np.conj(d_eg), abs=1e-14)
+        assert rhs[0, 0] == pytest.approx(-d_ee, abs=1e-14)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_trace_and_hermiticity_preserving(self, n):

@@ -2,9 +2,10 @@
 
 Each scipy subpackage is imported inside the function that calls it, so
 importing the CLI and building its parser loads numpy and no scipy
-module, and `phase-diagram`, `steady`, `screening` and `fit-alpha`,
-which never call scipy, run without it. Every check starts a fresh
-interpreter, because this test process has loaded scipy already.
+module, and `phase-diagram`, `steady`, `screening`, `fit-alpha` and
+`dynamics` up to N = 47, which never call scipy, run without it. Every
+check starts a fresh interpreter, because this test process has loaded
+scipy already.
 """
 
 import os
@@ -61,6 +62,9 @@ def test_parser_loads_no_scipy(tmp_path):
     ["screening", "--n-atoms", "10,1000", "--beta", "0.5,1.5", "--out", "t.csv"],
     ["fit-alpha", "--input", "rates.csv"],
     ["--help"],
+    # Up to the largest dense sector the operator is a numpy array.
+    ["dynamics", "--n-atoms", "1,47", "--rabi", "20", "--t-final", "2",
+     "--n-samples", "5", "--out", "t.csv"],
 ])
 def test_subcommand_loads_no_scipy(tmp_path, argv):
     (tmp_path / "rates.csv").write_text("n_atoms,gamma_sr\n2,8\n3,18\n4,32\n5,50\n")
@@ -69,10 +73,13 @@ def test_subcommand_loads_no_scipy(tmp_path, argv):
 
 def test_scipy_subcommands_still_run(tmp_path):
     # dynamics and fit-omega-eff share the trace; mu stands alone.
+    # dynamics at N = 60 takes scipy's expm_multiply.
     for argv in (
         ["dynamics", "--n-atoms", "4", "--rabi", "3", "--t-final", "8",
          "--n-samples", "81", "--out", "trace.csv"],
         ["fit-omega-eff", "--input", "trace.csv"],
+        ["dynamics", "--n-atoms", "60", "--rabi", "40", "--t-final", "1",
+         "--n-samples", "3", "--out", "large.csv"],
         ["mu", "--ell-ax", "1,5", "--ell-rad", "0.5", "--out", "mu.csv"],
     ):
         code, _ = run_probe(tmp_path, *argv)
