@@ -35,6 +35,7 @@ from ddmsim.sweep import (
     AllPointsFailedError,
     ConfigError,
     SweepSpec,
+    _real,
     format_csv,
     run,
     write_csv,
@@ -59,7 +60,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _float_list(text: str):
     try:
-        return [float(x) for x in text.split(",") if x.strip()]
+        return list(map(float, filter(str.strip, text.split(","))))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad number list {text!r}: {exc}")
 
@@ -152,22 +153,28 @@ def _run_sweep_command(args) -> int:
     return 0
 
 
-def _read_table(path: str) -> dict:
-    """Read a ddmsim CSV (or any headed CSV); returns column arrays."""
+def _read_table(path: str, names) -> dict:
+    """The named columns that a ddmsim CSV (or any headed CSV) has, as
+    float arrays.
+
+    Lines that start with '#' and rows of blank cells are skipped. Only
+    the named columns are converted: a cell that is not a number reads
+    as nan, which `_column` reports by its data row, and a row shorter
+    than the header adds nothing to the columns it lacks.
+    """
     with open(path, newline="") as fh:
         lines = (ln for ln in fh if not ln.startswith("#"))
         rows = [row for row in csv.reader(lines) if any(map(str.strip, row))]
     if len(rows) < 2:
         raise ConfigError(f"{path}: no data rows")
     header = [c.strip() for c in rows[0]]
-    cols = {name: [] for name in header}
-    for row in rows[1:]:
-        for name, cell in zip(header, row):
-            try:
-                cols[name].append(float(cell))
-            except ValueError:
-                cols[name].append(np.nan)
-    return {name: np.asarray(vals) for name, vals in cols.items()}
+    table = {}
+    for name in names:
+        where = [k for k, h in enumerate(header) if h == name]
+        if where:
+            table[name] = np.array([_real(row[k]) for row in rows[1:]
+                                    for k in where if k < len(row)], dtype=float)
+    return table
 
 
 def _column(table: dict, name: str, path: str) -> np.ndarray:
@@ -194,7 +201,7 @@ def _write_json(out: dict, path: str | None) -> int:
 
 
 def _run_fit_omega_eff(args) -> int:
-    table = _read_table(args.input)
+    table = _read_table(args.input, ("t", "time", "times", "n_e"))
     t_col = next((c for c in ("t", "time", "times") if c in table), "t")
     trace = TimeTrace(times=_column(table, t_col, args.input),
                       values=_column(table, "n_e", args.input))
@@ -210,7 +217,7 @@ def _run_fit_omega_eff(args) -> int:
 
 
 def _run_fit_alpha(args) -> int:
-    table = _read_table(args.input)
+    table = _read_table(args.input, ("n_atoms", "gamma_sr"))
     alpha, prefactor, stderr = fit_power_law(_column(table, "n_atoms", args.input),
                                              _column(table, "gamma_sr", args.input))
     out = {"alpha": alpha, "prefactor": prefactor, "alpha_stderr": stderr}

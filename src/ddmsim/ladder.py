@@ -15,6 +15,7 @@ excited).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -90,6 +91,26 @@ class DickeLadderState:
         return float(np.real(np.trace(self.rho)))
 
 
+@dataclass(eq=False)
+class LadderTrajectory(Sequence):
+    """The samples of one `evolve` call, held as one stack.
+
+    rho[k] is the density matrix at the k-th sample time and traces[k]
+    its trace. Indexing gives a sample as a DickeLadderState that views
+    rho[k]; `observables` takes the whole stack in one call.
+    """
+
+    n_atoms: int
+    rho: np.ndarray  # (n_samples, N + 1, N + 1)
+    traces: np.ndarray  # (n_samples,)
+
+    def __len__(self) -> int:
+        return len(self.rho)
+
+    def __getitem__(self, index: int) -> DickeLadderState:
+        return DickeLadderState(self.n_atoms, self.rho[index])
+
+
 @dataclass
 class ObservableSet:
     """Collective observables extracted from a ladder state.
@@ -97,7 +118,8 @@ class ObservableSet:
     s_z is the normalized magnetization <S_z>/S in [-1, 1] (ground state
     -> -1), n_e the excited-state fraction, dipole the complex <S->,
     gamma_sr = <S+ S->, the collective emission rate in units of gamma,
-    and g2_numerator the fourth-order moment <S+ S+ S- S->.
+    and g2_numerator the fourth-order moment <S+ S+ S- S->. Of a
+    `LadderTrajectory`, each field is an array over its samples.
     """
 
     s_z: float
@@ -112,16 +134,29 @@ def liouvillian_rhs(state: DickeLadderState, params: ModelParams) -> np.ndarray:
 
     An O(N^2) stencil, with no (N+1)^2-dimensional operator, applied in
     the gauge rho_{mm'} -> i^{m-m'} rho_{mm'}, where its coefficients are
-    real (`_gauged_rhs`): gauge, stencil, un-gauge.
+    real (`_gauged_rhs`): gauge, stencil, un-gauge. The stencil takes the
+    real and the imaginary part of the gauged rho in turn, so every
+    product is real.
     """
     params.require_resonant()
     if params.n_atoms != state.n_atoms:
         raise ValueError(
             f"state has N = {state.n_atoms} but params have N = {params.n_atoms}"
         )
-    dim = state.n_atoms + 1
-    out = _gauged_rhs(state.rho * _gauge(dim), params)
-    out *= _gauge(dim, inverse=True)
+    phase = _gauge(state.n_atoms + 1)
+    c, d = phase.real, phase.imag  # i^{m-m'} = c + i d
+    re, im = state.rho.real, state.rho.imag
+    tmp = np.empty(re.shape)
+    x_re = np.multiply(re, c)
+    x_re -= np.multiply(im, d, out=tmp)
+    x_im = np.multiply(re, d)
+    x_im += np.multiply(im, c, out=tmp)
+    y_re, y_im = _gauged_rhs(x_re, params), _gauged_rhs(x_im, params)
+    out = np.empty(re.shape, dtype=complex)  # times i^{m'-m} = c - i d
+    np.multiply(y_re, c, out=out.real)
+    out.real += np.multiply(y_im, d, out=tmp)
+    np.multiply(y_im, c, out=out.imag)
+    out.imag -= np.multiply(y_re, d, out=tmp)
     return out
 
 
@@ -175,7 +210,8 @@ def evolve(
     """Propagate the master equation from state0 up to t_final.
 
     Returns (times, states) on the uniform grid of n_samples times from 0
-    to t_final (the default 2 gives t = 0 and t_final). Sample k is
+    to t_final (the default 2 gives t = 0 and t_final); states is a
+    `LadderTrajectory`, a sequence of DickeLadderState. Sample k is
     exp(L t_k) vec(rho0), exact to round-off; no ODE integrator and no
     trace renormalization are involved. tol bounds the trace drift:
     a sample whose trace differs from tr rho0 by more than tol raises a
@@ -216,12 +252,11 @@ def evolve(
     rho = np.empty((n_samples, dim, dim), dtype=complex)
     rho[:, rows, cols] = u * phase[rows, cols].conj()
     rho[:, cols, rows] = u * phase[cols, rows].conj()
-    states = [DickeLadderState(n, r) for r in rho]
-    tr0 = state0.trace()
-    drift = max(abs(state.trace() - tr0) for state in states)
+    trajectory = LadderTrajectory(n, rho, np.trace(rho, axis1=1, axis2=2).real)
+    drift = np.abs(trajectory.traces - state0.trace()).max()
     if not drift <= tol:
         raise RuntimeError(f"trace drift {drift:.3e} exceeds tol = {tol:.1e}")
-    return np.linspace(0.0, t_final, n_samples), states
+    return np.linspace(0.0, t_final, n_samples), trajectory
 
 
 # Largest sector operator built as a dense array, which `evolve` then
@@ -413,30 +448,43 @@ def steady_state(params: ModelParams, resid_tol: float = 1e-10) -> DickeLadderSt
     return state
 
 
-def observables(state: DickeLadderState) -> ObservableSet:
+def _emission_sums(state):
+    """<S+S-> and <S+S+S-S->, summed over the last axis of the
+    populations of `state.rho`: numpy scalars for one state, arrays for
+    a trajectory."""
+    # am2[i] = A_{m-2}, am1[i] = A_{m-1}: slices of one padded array.
+    padded = np.concatenate(([0.0, 0.0], _coupling_array(state.n_atoms)[:-1]))
+    am2, am1 = padded[:-1], padded[1:]
+    am1_sq = am1**2
+    pops = state.rho.diagonal(0, -2, -1).real
+    return (am1_sq * pops).sum(-1), (am1_sq * am2**2 * pops).sum(-1)
+
+
+def observables(state) -> ObservableSet:
     """Collective observables from the ladder density matrix.
 
     All four moments are diagonal or first-off-diagonal sums weighted by
-    the ladder coefficients.
+    the ladder coefficients, reduced over the last two axes of
+    `state.rho`: a DickeLadderState gives scalars, and a
+    `LadderTrajectory` gives one array per observable, sample by sample,
+    in one call.
     """
     n = state.n_atoms
     s = n / 2.0
-    # am2[i] = A_{m-2}, am1[i] = A_{m-1}: slices of one padded array.
-    padded = np.concatenate(([0.0, 0.0], _coupling_array(n)[:-1]))
-    am2, am1 = padded[:-1], padded[1:]
-    am1_sq = am1**2
-    pops = state.rho.diagonal().real
+    am1 = _coupling_array(n)[:-1]  # A_{m-1} at m = -S+1..S
+    pops = state.rho.diagonal(0, -2, -1).real
     m = np.arange(n + 1) - s
 
-    s_z = float((m * pops).sum() / s)
-    n_e = 0.5 * (s_z + 1.0)
+    s_z = (m * pops).sum(-1) / s
     # <S-> = sum_m A_{m-1} rho_{m,m-1}
-    dipole = complex((am1[1:] * state.rho.diagonal(-1)).sum())
-    spsm = float((am1_sq * pops).sum())
-    g2_num = float((am1_sq * am2**2 * pops).sum())
+    dipole = (am1 * state.rho.diagonal(-1, -2, -1)).sum(-1)
+    spsm, g2_num = _emission_sums(state)
+    if state.rho.ndim == 2:
+        s_z, dipole = float(s_z), complex(dipole)
+        spsm, g2_num = float(spsm), float(g2_num)
     return ObservableSet(
         s_z=s_z,
-        n_e=n_e,
+        n_e=0.5 * (s_z + 1.0),
         dipole=dipole,
         gamma_sr=spsm,  # gamma = 1: rate in units of gamma
         g2_numerator=g2_num,
@@ -445,9 +493,9 @@ def observables(state: DickeLadderState) -> ObservableSet:
 
 def g2_zero(state: DickeLadderState) -> float:
     """Equal-time intensity correlation <S+S+S-S-> / <S+S->^2."""
-    obs = observables(state)
-    if obs.gamma_sr < 1e-14:
+    spsm, g2_num = map(float, _emission_sums(state))
+    if spsm < 1e-14:
         raise UndefinedCorrelationError(
-            f"<S+S-> = {obs.gamma_sr:.3e} too small to define g2(0)"
+            f"<S+S-> = {spsm:.3e} too small to define g2(0)"
         )
-    return obs.g2_numerator / obs.gamma_sr**2
+    return g2_num / spsm**2

@@ -9,16 +9,16 @@ and trivially plottable.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product, repeat
+
+import numpy as np
 
 from ddmsim import __version__
 from ddmsim.params import ModelParams
@@ -31,7 +31,7 @@ from ddmsim.ladder import (
     observables,
     steady_state,
 )
-from ddmsim.meanfield import solve_x, _screening_residual
+from ddmsim.meanfield import _elementwise, _screening_residual, solve_x
 from ddmsim.geometry import CloudGeometry, cooperativity_mu
 
 SCHEMA_VERSION = 1
@@ -78,7 +78,7 @@ class SweepSpec:
             grid = self.grids.get(name)
             if not isinstance(grid, (list, tuple)) or len(grid) == 0:
                 raise ConfigError(f"mode {self.mode!r} needs a non-empty list {name!r}")
-            if any(isinstance(value, bool) for value in grid):
+            if bool in set(map(type, grid)):
                 raise ConfigError(f"grid {name!r} must hold numbers, got {grid!r}")
         extra = set(self.grids) - set(mode.grids)
         if extra:
@@ -161,20 +161,18 @@ def _dynamics_rows(point, tol, settings):
     t_final = float(settings.get("t_final", T_FINAL))
     n_samples = int(_real(settings.get("n_samples", N_SAMPLES)))
     params = ModelParams(n_atoms=n, rabi=rabi)
-    times, states = evolve(
+    times, trajectory = evolve(
         DickeLadderState.ground(n), params, t_final, tol=tol, n_samples=n_samples
     )
-    rows = []
-    for t, state in zip(times, states):
-        obs = observables(state)
-        rows.append({
-            "n_atoms": n, "rabi": rabi, "t": float(t),
-            "n_e": obs.n_e, "s_z": obs.s_z,
-            "re_dipole": obs.dipole.real, "im_dipole": obs.dipole.imag,
-            "gamma_sr": obs.gamma_sr,
-            "residual": abs(state.trace() - 1.0), "status": "ok",
-        })
-    return rows
+    obs = observables(trajectory)  # one call for every sample
+    columns = zip(times.tolist(), obs.n_e.tolist(), obs.s_z.tolist(),
+                  obs.dipole.real.tolist(), obs.dipole.imag.tolist(),
+                  obs.gamma_sr.tolist(), np.abs(trajectory.traces - 1.0).tolist())
+    return [{
+        "n_atoms": n, "rabi": rabi, "t": t,
+        "n_e": n_e, "s_z": s_z, "re_dipole": re, "im_dipole": im,
+        "gamma_sr": gamma_sr, "residual": residual, "status": "ok",
+    } for t, n_e, s_z, re, im, gamma_sr, residual in columns]
 
 
 def _steady_rows(point, *_):
@@ -210,14 +208,40 @@ def _finite(row):
     return [row]
 
 
-def _screening_rows(point, *_):
-    n, beta = float(point["n_atoms"]), float(point["beta"])
+_SCREENING_FLOATS = ("n_atoms", "beta", "x", "x_asymptote", "residual")
+
+
+def _screening_rows(chunk, *_):
+    """The rows of a chunk of (n_atoms, beta) points, solved as arrays.
+
+    A point that `solve_x` cannot solve, or whose row holds a non-finite
+    number, becomes an error row with the text the point raised when
+    points were solved one by one.
+    """
+    flat = np.fromiter(map(float, chain.from_iterable(chunk)), float)
+    n, beta = flat.reshape(-1, 2).T
     sol = solve_x(beta, n)
-    asym = math.sqrt(beta**2 - 1.0) if beta >= 1.0 else 0.0
-    return _finite({
-        "n_atoms": n, "beta": beta, "x": sol.x, "x_asymptote": asym,
-        "residual": abs(_screening_residual(n * sol.x, beta, n)), "status": "ok",
-    })
+    failed = np.zeros(n.size, dtype=bool)
+    failed[list(sol.faults)] = True
+    with np.errstate(invalid="ignore", over="ignore"):
+        # math.pow raises where beta^2 overflows, which only a failed
+        # point reaches.
+        b = np.where(failed, np.nan, beta)
+        asym = np.where(b >= 1.0, np.sqrt(_elementwise(math.pow, b, 2.0) - 1.0), 0.0)
+        residual = np.abs(_screening_residual(n * sol.x, beta, n))
+    values = np.stack([n, beta, sol.x, asym, residual])
+    errors = dict(sol.faults)
+    for k in np.flatnonzero(~failed & ~np.isfinite(values).all(axis=0)):
+        bad = [name for name, v in zip(_SCREENING_FLOATS, values[:, k])
+               if not math.isfinite(v)]
+        errors[int(k)] = f"non-finite {', '.join(bad)}"
+    rows = [{"n_atoms": n_k, "beta": beta_k, "x": x_k, "x_asymptote": asym_k,
+             "residual": residual_k, "status": "ok"}
+            for n_k, beta_k, x_k, asym_k, residual_k in values.T.tolist()]
+    for k, text in errors.items():
+        rows[k] = {"n_atoms": rows[k]["n_atoms"], "beta": rows[k]["beta"],
+                   "residual": math.nan, "status": f"error: {text}"}
+    return rows
 
 
 def _mu_rows(point, *_):
@@ -234,9 +258,13 @@ def _mu_rows(point, *_):
 class SweepMode:
     """One sweep mode, as the spec, the sweep and the CLI all see it.
 
-    `rows(point, tol, settings)` returns the point's rows. Row builders
-    reach the layers through this module's globals at call time, so a
-    wrapper installed on `ddmsim.sweep.<name>` sees every call.
+    `rows(point, tol, settings)` returns the rows of one point, given as
+    a dict of grid values; an exception it raises becomes the point's
+    error row. A batched mode's `rows(chunk, tol, settings)` takes a
+    list of grid tuples instead and returns their rows, error rows
+    included. Row builders reach the layers through this module's
+    globals at call time, so a wrapper installed on
+    `ddmsim.sweep.<name>` sees every call.
     """
 
     command: str  # CLI subcommand
@@ -245,6 +273,7 @@ class SweepMode:
     whole_n: bool  # N sizes the ladder (N + 1 levels); screening's N is real
     settings: tuple  # "tol" and the `settings` keys the mode reads
     rows: object  # row builder
+    batched: bool = False  # rows takes a chunk of points
 
 
 _STEADY_COLUMNS = ("s_z", "n_e", "re_dipole", "im_dipole", "gamma_sr", "g2")
@@ -259,7 +288,8 @@ SWEEP_MODES = {
     "phase_diagram": SweepMode("phase-diagram", ("n_atoms", "beta"),
                                ("rabi",) + _STEADY_COLUMNS, True, (), _phase_rows),
     "screening_curve": SweepMode("screening", ("n_atoms", "beta"),
-                                 ("x", "x_asymptote"), False, (), _screening_rows),
+                                 ("x", "x_asymptote"), False, (), _screening_rows,
+                                 batched=True),
     "cooperativity": SweepMode("mu", ("ell_ax", "ell_rad"),
                                ("mu", "small_angle_estimate"), False, (), _mu_rows),
 }
@@ -276,28 +306,40 @@ def _eval_point(task):
         return [row]
 
 
+def _eval_chunk(task):
+    """The rows of a chunk of grid tuples, in grid order."""
+    name, chunk, tol, settings = task
+    mode = SWEEP_MODES[name]
+    if mode.batched:
+        return mode.rows(chunk, tol, settings)
+    return [row for combo in chunk for row in
+            _eval_point((name, dict(zip(mode.grids, combo)), tol, settings))]
+
+
 def run(spec: SweepSpec, threads: int = 1) -> SweepResult:
     """Execute the sweep; deterministic given the spec.
 
     Points are independent; with threads > 1 they are evaluated by a
     pool of at most min(threads, cpu count, points) workers, with output
-    order fixed by the grid regardless of completion order. Per-point
+    order fixed by the grid regardless of completion order. A batched
+    mode solves its points in one chunk per worker (one chunk when
+    serial); any other mode sends each point on its own. Per-point
     solver failures are recorded in the status column; only an
     all-points failure raises.
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
     mode = SWEEP_MODES[spec.mode]
-    grids = [spec.grids[name] for name in mode.grids]
-    points = [dict(zip(mode.grids, combo)) for combo in product(*grids)]
-    tasks = [(spec.mode, point, spec.tol, spec.settings) for point in points]
-
-    workers = min(threads, os.cpu_count() or 1, len(tasks))
+    points = list(product(*(spec.grids[name] for name in mode.grids)))
+    workers = min(threads, os.cpu_count() or 1, len(points))
+    size = -(-len(points) // workers) if mode.batched else 1
+    tasks = [(spec.mode, points[k:k + size], spec.tol, spec.settings)
+             for k in range(0, len(points), size)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_eval_point, tasks))
+            chunks = list(pool.map(_eval_chunk, tasks))
     else:
-        chunks = [_eval_point(task) for task in tasks]
+        chunks = [_eval_chunk(task) for task in tasks]
 
     rows = [row for chunk in chunks for row in chunk]
     if rows and all(str(r.get("status", "")).startswith("error") for r in rows):
@@ -320,26 +362,47 @@ def run(spec: SweepSpec, threads: int = 1) -> SweepResult:
     return SweepResult(metadata=metadata, columns=columns, rows=rows)
 
 
+def _text_cell(value) -> str:
+    """str(value), quoted as csv quotes it if it holds a comma, quote or
+    newline."""
+    text = str(value)
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _cell(value) -> str:
+    return format(value, ".12g") if isinstance(value, float) else _text_cell(value)
+
+
+def _column_template(cells):
+    """The %-format of one column and the cells it formats: a column of
+    Python floats is written as .12g, a column of strings that need no
+    quoting as is, and any other column through `_cell`."""
+    kinds = set(map(type, cells))
+    if kinds == {float}:
+        return "%.12g", cells
+    if kinds == {str} and not any(c in "".join(cells) for c in ',"\n'):
+        return "%s", cells
+    return "%s", list(map(_cell, cells))
+
+
 def format_csv(result: SweepResult) -> str:
     """CSV text: '#'-prefixed JSON metadata line, header, data rows.
 
-    Cells that hold a comma, quote or newline (error text in `status`)
-    are quoted; every other cell is written as is.
+    A float cell is written as .12g and any other as str(); a cell that
+    holds a comma, quote or newline (error text in `status`) is quoted
+    as the csv module quotes it. The body is one %-template, the row
+    template repeated once per row, applied to every cell at once.
     """
-    buf = io.StringIO()
-    buf.write("# " + json.dumps(result.metadata, sort_keys=True) + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(result.columns)
-    for row in result.rows:
-        cells = []
-        for col in result.columns:
-            val = row.get(col, "")
-            if isinstance(val, float):
-                cells.append(f"{val:.12g}")
-            else:
-                cells.append(str(val))
-        writer.writerow(cells)
-    return buf.getvalue()
+    rows = result.rows
+    formats, columns = zip(*(
+        _column_template(list(map(dict.get, rows, repeat(name), repeat(""))))
+        for name in result.columns))
+    template = (",".join(formats) + "\n") * len(rows)
+    return ("# " + json.dumps(result.metadata, sort_keys=True) + "\n"
+            + ",".join(map(_text_cell, result.columns)) + "\n"
+            + template % tuple(chain.from_iterable(zip(*columns))))
 
 
 def write_csv(result: SweepResult, path: str):

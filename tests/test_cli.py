@@ -145,7 +145,7 @@ class TestSweepCommands:
             rows = list(csv.reader(ln for ln in fh if not ln.startswith("#")))
         statuses = [row[rows[0].index("status")] for row in rows[1:]]
         assert statuses == [status, "ok"]
-        table = _read_table(str(path))
+        table = _read_table(str(path), rows[0])
         assert np.isnan(table["residual"][0])
         numeric = [col for name, col in table.items() if name != "status"]
         assert all(np.isfinite(col[1]) for col in numeric)
@@ -186,7 +186,7 @@ class TestSweepCommands:
         assert status == [
             "error: cloud sizes must be > 0, got ell_ax=-1.0, ell_rad=0.5", "ok"
         ]
-        table = _read_table(str(path))
+        table = _read_table(str(path), header)
         assert list(table) == header
         assert np.array_equal(table["ell_ax"], [-1.0, 22.5])
         assert np.array_equal(table["ell_rad"], [0.5, 0.5])

@@ -332,7 +332,7 @@ class TestLayerRouting:
     @pytest.mark.parametrize("doc, reached", [
         ({"mode": "dynamics", "grids": {"n_atoms": [2], "rabi": [1.0]},
           "settings": {"t_final": 1.0, "n_samples": 3}},
-         {"evolve": 1, "observables": 3}),
+         {"evolve": 1, "observables": 1}),
         ({"mode": "steady_state", "grids": {"n_atoms": [2], "rabi": [1.0]}},
          {"steady_state": 1, "observables": 1, "g2_zero": 1}),
         ({"mode": "phase_diagram", "grids": {"n_atoms": [2], "beta": [1.5]}},

@@ -1,0 +1,408 @@
+"""The array-pass table path against the per-row code it replaced.
+
+Each reference below is the per-cell or per-point implementation that
+the package used before its tables were built and written in array
+passes; the package must reproduce it exactly: the same CSV bytes, the
+same columns read back, the same rows and error texts.
+"""
+
+import csv
+import io
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import ddmsim.ladder
+import ddmsim.sweep
+from ddmsim.cli import ConfigError, _column, _read_table
+from ddmsim.ladder import (
+    DickeLadderState,
+    LadderTrajectory,
+    UndefinedCorrelationError,
+    evolve,
+    g2_zero,
+    observables,
+    steady_state,
+)
+from ddmsim.params import ModelParams
+from ddmsim.sweep import SweepResult, SweepSpec, format_csv, run
+
+FAST = settings(max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+# --- CSV writer -----------------------------------------------------------
+
+def reference_format_csv(result):
+    """The per-cell writer: csv.writer over cells made one at a time."""
+    buf = io.StringIO()
+    buf.write("# " + json.dumps(result.metadata, sort_keys=True) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(result.columns)
+    for row in result.rows:
+        cells = []
+        for col in result.columns:
+            val = row.get(col, "")
+            if isinstance(val, float):
+                cells.append(f"{val:.12g}")
+            else:
+                cells.append(str(val))
+        writer.writerow(cells)
+    return buf.getvalue()
+
+
+TEXT = st.text(alphabet=st.sampled_from('ab ,"\n\r#:=-e0.'), max_size=12)
+CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e16, 1e-5,
+                     np.float64(0.1), np.float64(-0.0), np.float64(math.nan)]),
+    st.integers(min_value=-10**15, max_value=10**15),
+    st.sampled_from([10**12, 10**12 + 1, -10**13, True, False, None,
+                     np.int64(10**13), "ok", ""]),
+    TEXT.map(lambda s: "error: " + s),
+    TEXT,
+)
+
+
+# What one column of a table holds: one type throughout, or anything.
+COLUMNS = [st.floats(allow_nan=True, allow_infinity=True),
+           st.integers(min_value=-10**15, max_value=10**15), TEXT, CELLS]
+
+
+@st.composite
+def tables(draw):
+    # A sweep table has at least its grid, residual and status columns;
+    # csv writes a lone empty cell of a one-column row as "", which no
+    # sweep table has.
+    names = draw(st.lists(st.text(alphabet="abcxyz_ ,", min_size=1, max_size=6),
+                          min_size=2, max_size=6, unique=True))
+    kinds = {name: draw(st.sampled_from(COLUMNS)) for name in names}
+    rows = [{name: draw(kinds[name]) for name in names
+             if draw(st.integers(0, 9))}  # about one cell in ten is missing
+            for _ in range(draw(st.integers(0, 12)))]
+    return SweepResult(metadata={"mode": "x", "n_points": len(rows)},
+                       columns=names, rows=rows)
+
+
+class TestFormatCsv:
+    @FAST
+    @given(tables())
+    def test_matches_per_cell_writer(self, result):
+        assert format_csv(result) == reference_format_csv(result)
+
+    @pytest.mark.parametrize("status", [
+        'error: a, b', 'error: say "x"', "error: two\nlines", "error: cr\rhere",
+        'error: all, "of"\nthem', "ok",
+    ])
+    def test_error_text(self, status):
+        result = SweepResult(metadata={}, columns=["n_atoms", "beta", "x", "status"],
+                             rows=[{"n_atoms": 10.0, "beta": 0.5, "x": 0.1, "status": "ok"},
+                                   {"n_atoms": 10.0, "beta": math.nan, "status": status},
+                                   {"n_atoms": 10**13, "beta": -0.0, "x": math.inf,
+                                    "status": "ok"}])
+        assert format_csv(result) == reference_format_csv(result)
+
+    @pytest.mark.parametrize("mode, grids", [
+        ("screening_curve", {"n_atoms": [20.0, math.nan, 1e200, 3.5], "beta": [1e120, 0.5]}),
+        ("cooperativity", {"ell_ax": [-1.0, 22.5, math.inf], "ell_rad": [0.5]}),
+        ("dynamics", {"n_atoms": [2, 3], "rabi": [1.0, math.nan]}),
+        ("phase_diagram", {"n_atoms": [3, 10], "beta": [0.5, 2.0, -1.0]}),
+    ])
+    def test_sweep_tables(self, mode, grids):
+        settings = {"t_final": 1.0, "n_samples": 5} if mode == "dynamics" else {}
+        result = run(SweepSpec.from_dict({"mode": mode, "grids": grids,
+                                          "settings": settings}))
+        assert format_csv(result) == reference_format_csv(result)
+
+
+# --- column reader ----------------------------------------------------------
+
+def reference_read_table(path):
+    """The reader that converted every cell of every column."""
+    with open(path, newline="") as fh:
+        lines = (ln for ln in fh if not ln.startswith("#"))
+        rows = [row for row in csv.reader(lines) if any(map(str.strip, row))]
+    if len(rows) < 2:
+        raise ConfigError(f"{path}: no data rows")
+    header = [c.strip() for c in rows[0]]
+    cols = {name: [] for name in header}
+    for row in rows[1:]:
+        for name, cell in zip(header, row):
+            try:
+                cols[name].append(float(cell))
+            except ValueError:
+                cols[name].append(np.nan)
+    return {name: np.asarray(vals) for name, vals in cols.items()}
+
+
+def quoted(text):
+    return '"' + text.replace('"', '""') + '"'
+
+
+CSV_CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.12g}"),
+    st.integers(-10**14, 10**14).map(str),
+    st.sampled_from(["", " ", " 1.5 ", "nan", "-inf", "-0", "1e999", "1_0", "abc",
+                     "ok", "0x10", "#1"]),
+    TEXT.map(quoted),
+    st.floats(allow_nan=False).map(lambda v: quoted(repr(v))),
+)
+
+FIT_COLUMNS = ("t", "time", "times", "n_e", "n_atoms", "gamma_sr")
+
+
+@st.composite
+def csv_texts(draw):
+    header = draw(st.lists(st.sampled_from(FIT_COLUMNS + ("x", "status", " n_e ")),
+                           min_size=1, max_size=5))
+    lines = []
+    if draw(st.booleans()):
+        lines.append('# {"mode": "x"}')
+    lines.append(",".join(header))
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["row", "row", "row", "blank", "comment", "spaces"]))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "comment":
+            lines.append("#" + draw(TEXT))
+        elif kind == "spaces":
+            lines.append(" , ,")
+        else:
+            width = len(header) + draw(st.integers(-2, 1))  # ragged rows too
+            lines.append(",".join(draw(CSV_CELLS) for _ in range(max(width, 1))))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + end
+
+
+def same_columns(got, want):
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name].dtype == np.float64
+        np.testing.assert_array_equal(got[name], want[name])
+
+
+class TestReadTable:
+    @FAST
+    @given(csv_texts())
+    def test_matches_full_reader(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        path.write_bytes(text.encode())
+        try:
+            want = reference_read_table(str(path))
+        except ConfigError as exc:
+            with pytest.raises(ConfigError, match="no data rows"):
+                _read_table(str(path), FIT_COLUMNS)
+            assert "no data rows" in str(exc)
+            return
+        names = [n for n in FIT_COLUMNS if n in want]
+        same_columns(_read_table(str(path), FIT_COLUMNS), {n: want[n] for n in names})
+        for name in names:  # the same ConfigError, naming the same data row
+            try:
+                expected = _column(want, name, "p")
+            except ConfigError as exc:
+                with pytest.raises(ConfigError) as got:
+                    _column(_read_table(str(path), (name,)), name, "p")
+                assert str(got.value) == str(exc)
+            else:
+                np.testing.assert_array_equal(
+                    _column(_read_table(str(path), (name,)), name, "p"), expected)
+
+    def test_reads_only_the_named_columns(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text('# meta\nn_atoms,x,gamma_sr,status\n'
+                        '2,1,8,"error: a, b"\n\n#c\n3,2,18,ok\n4,3\n')
+        table = _read_table(str(path), ("gamma_sr", "n_atoms", "missing"))
+        assert list(table) == ["gamma_sr", "n_atoms"]
+        np.testing.assert_array_equal(table["gamma_sr"], [8.0, 18.0])
+        np.testing.assert_array_equal(table["n_atoms"], [2.0, 3.0, 4.0])
+
+
+# --- screening rows -----------------------------------------------------------
+
+def reference_solve_x(beta, n_atoms):
+    """The scalar closed-form root, in math-module arithmetic."""
+    if not (math.isfinite(beta) and beta > 0):
+        raise ValueError(f"beta must be finite and > 0, got {beta}")
+    if not (math.isfinite(n_atoms) and n_atoms >= 1):
+        raise ValueError(f"n_atoms must be finite and >= 1, got {n_atoms}")
+    inv_n = 1.0 / n_atoms
+    b = inv_n * inv_n + 0.5 * (1.0 - beta) * (1.0 + beta)
+    root = math.hypot(b, math.sqrt(2.0) * beta * inv_n)
+    if b >= 0.0:
+        x = math.sqrt(2.0 * beta * beta / (b + root)) * inv_n
+    else:
+        x = math.sqrt(root - b)
+    if not 0.0 <= x <= beta + 1e-12:
+        raise ValueError(f"x = {x} outside [0, beta = {beta}]")
+    return x
+
+
+def reference_screening_row(n, beta):
+    """The row of one point, solved on its own."""
+    n, beta = float(n), float(beta)
+    try:
+        x = reference_solve_x(beta, n)
+        asym = math.sqrt(beta**2 - 1.0) if beta >= 1.0 else 0.0
+        u = n * x
+        half_u2 = 0.5 * u * u
+        resid = abs((u / n) ** 2 + half_u2 / (1.0 + half_u2) - beta * beta)
+        row = {"n_atoms": n, "beta": beta, "x": x, "x_asymptote": asym,
+               "residual": resid, "status": "ok"}
+        bad = [k for k, v in row.items() if isinstance(v, float) and not math.isfinite(v)]
+        if bad:
+            raise ValueError(f"non-finite {', '.join(bad)}")
+        return row
+    except Exception as exc:
+        return {"n_atoms": n, "beta": beta, "residual": math.nan,
+                "status": f"error: {exc}"}
+
+
+def comparable(row):
+    return {k: ("nan" if isinstance(v, float) and math.isnan(v) else v)
+            for k, v in row.items()}
+
+
+INVALID = [math.nan, math.inf, -math.inf, 0.0, -1.0, 0.5, 1e-320, 1e120, 1e154,
+           1.3407807929942596e154, 1e200, 1.7976931348623157e308]
+N_VALUES = st.one_of(st.floats(1.0, 1e12), st.floats(1.0, 50.0), st.sampled_from(INVALID))
+BETA_VALUES = st.one_of(st.floats(1e-12, 1e3), st.floats(0.5, 2.0),
+                        st.sampled_from(INVALID + [1.0]))
+
+
+class TestScreeningRows:
+    @FAST
+    @given(st.lists(N_VALUES, min_size=1, max_size=8),
+           st.lists(BETA_VALUES, min_size=1, max_size=5))
+    def test_rows_match_point_by_point(self, n_values, betas):
+        spec = SweepSpec.from_dict({"mode": "screening_curve",
+                                    "grids": {"n_atoms": n_values, "beta": betas}})
+        try:
+            rows = run(spec).rows
+        except ddmsim.sweep.AllPointsFailedError:
+            rows = None
+        want = [reference_screening_row(n, b) for n in n_values for b in betas]
+        if rows is None:
+            assert all(r["status"].startswith("error") for r in want)
+            return
+        assert list(map(comparable, rows)) == list(map(comparable, want))
+
+    def test_grid_of_the_benchmark_bands(self):
+        n_values = list(np.geomspace(10.0, 1.0e4, 1500))
+        betas = [round(0.2 + 0.07 * k, 4) for k in range(11)] + [
+            round(1.1 + 0.19 * k, 4) for k in range(11)]
+        rows = run(SweepSpec.from_dict({"mode": "screening_curve",
+                                        "grids": {"n_atoms": n_values,
+                                                  "beta": betas}})).rows
+        want = [reference_screening_row(n, b) for n in n_values for b in betas]
+        assert rows == want
+
+    def test_bad_grid_value_raises_as_before(self):
+        spec = SweepSpec.from_dict({"mode": "screening_curve",
+                                    "grids": {"n_atoms": [2.0, "x"], "beta": ["y"]}})
+        with pytest.raises(ValueError, match="'y'"):
+            run(spec)
+
+    def test_serial_matches_two_workers_with_invalid_points(self, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        spec = SweepSpec.from_dict({"mode": "screening_curve", "grids": {
+            "n_atoms": [20.0, math.nan, 1e200, 3.5, 0.5, 1e6, 7.0],
+            "beta": [1e120, 0.5, -1.0, 2.0, 1e200]}})
+        serial = format_csv(run(spec))
+        assert serial == format_csv(run(spec, threads=2))
+        assert '"error: beta must be finite and > 0, got -1.0"' in serial
+        assert "error: non-finite residual" in serial
+
+
+class TestOneCallPerTable:
+    """Structural guards: a table costs one layer call, not one per row."""
+
+    def count(self, monkeypatch, name):
+        calls = []
+        fn = getattr(ddmsim.sweep, name)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(ddmsim.sweep, name, counted)
+        return calls
+
+    def test_serial_screening_solves_once(self, monkeypatch):
+        calls = self.count(monkeypatch, "solve_x")
+        spec = SweepSpec.from_dict({"mode": "screening_curve", "grids": {
+            "n_atoms": list(np.geomspace(10.0, 1.0e4, 1500)),
+            "beta": [0.2 + 0.14 * k for k in range(20)]}})
+        result = run(spec)
+        assert len(result.rows) == 30_000
+        assert all(r["status"] == "ok" for r in result.rows)
+        assert len(calls) == 1
+
+    def test_dynamics_trace_takes_observables_once(self, monkeypatch):
+        calls = self.count(monkeypatch, "observables")
+        spec = SweepSpec.from_dict({"mode": "dynamics",
+                                    "grids": {"n_atoms": [6], "rabi": [4.0]},
+                                    "settings": {"t_final": 2.0, "n_samples": 41}})
+        assert len(run(spec).rows) == 41
+        assert len(calls) == 1
+
+
+# --- observables of a trajectory --------------------------------------------
+
+def reference_observables(state):
+    """The observables of one state, from Python sums over its rho."""
+    n = state.n_atoms
+    s = n / 2.0
+    padded = np.concatenate(([0.0, 0.0], ddmsim.ladder._coupling_array(n)[:-1]))
+    am2, am1 = padded[:-1], padded[1:]
+    am1_sq = am1**2
+    pops = state.rho.diagonal().real
+    m = np.arange(n + 1) - s
+    s_z = float((m * pops).sum() / s)
+    dipole = complex((am1[1:] * state.rho.diagonal(-1)).sum())
+    spsm = float((am1_sq * pops).sum())
+    g2_num = float((am1_sq * am2**2 * pops).sum())
+    return s_z, 0.5 * (s_z + 1.0), dipole, spsm, g2_num
+
+
+class TestTrajectoryObservables:
+    @pytest.mark.parametrize("n, rabi", [(1, 0.7), (2, 4.5), (7, 1.0), (16, 12.0),
+                                         (33, 20.0), (47, 30.0), (52, 13.0)])
+    def test_one_pass_equals_sample_by_sample(self, n, rabi):
+        times, traj = evolve(DickeLadderState.ground(n), ModelParams(n_atoms=n, rabi=rabi),
+                             4.0, n_samples=41)
+        assert isinstance(traj, LadderTrajectory) and len(traj) == 41
+        obs = observables(traj)
+        for k, state in enumerate(traj):
+            s_z, n_e, dipole, spsm, g2_num = reference_observables(state)
+            assert obs.s_z[k] == s_z and obs.n_e[k] == n_e
+            assert obs.dipole[k] == dipole
+            assert obs.gamma_sr[k] == spsm and obs.g2_numerator[k] == g2_num
+            assert traj.traces[k] == state.trace()
+
+    def test_single_state_gives_scalars(self):
+        obs = observables(steady_state(ModelParams(n_atoms=6, rabi=2.0)))
+        assert type(obs.s_z) is float and type(obs.n_e) is float
+        assert type(obs.dipole) is complex and type(obs.gamma_sr) is float
+        assert type(obs.g2_numerator) is float
+
+    def test_samples_view_the_stack(self):
+        _, traj = evolve(DickeLadderState.ground(3), ModelParams(n_atoms=3, rabi=2.0),
+                         1.0, n_samples=5)
+        assert np.shares_memory(traj[2].rho, traj.rho)
+        assert [s.trace() for s in traj] == traj.traces.tolist()
+
+    @pytest.mark.parametrize("n, rabi", [(1, 0.3), (4, 2.0), (10, 40.0), (60, 10.0),
+                                         (140, 200.0)])
+    def test_g2_zero_unchanged(self, n, rabi):
+        state = steady_state(ModelParams(n_atoms=n, rabi=rabi))
+        _, _, _, spsm, g2_num = reference_observables(state)
+        assert g2_zero(state) == g2_num / spsm**2
+
+    def test_g2_zero_of_dark_state_raises(self):
+        with pytest.raises(UndefinedCorrelationError):
+            g2_zero(DickeLadderState.ground(4))
