@@ -96,7 +96,7 @@ def obe_excited_population(omega: float, gamma: float, t):
     return out if out.ndim else float(out)
 
 
-def _initial_rabi_guess(trace: TimeTrace, gamma0: float) -> float:
+def _initial_rabi_guess(trace: TimeTrace) -> float:
     values = trace.values
     interior = np.flatnonzero(
         (values[1:-1] > values[:-2]) & (values[1:-1] >= values[2:])
@@ -108,19 +108,20 @@ def _initial_rabi_guess(trace: TimeTrace, gamma0: float) -> float:
     # No oscillation: invert the saturation value of the final samples.
     tail = float(np.mean(values[-max(3, values.size // 10) :]))
     tail = min(max(tail, 1e-6), 0.499999)
-    return gamma0 * np.sqrt(tail / (1.0 - 2.0 * tail))
+    return np.sqrt(tail / (1.0 - 2.0 * tail))
 
 
-def fit_omega_eff(trace: TimeTrace, gamma: float = 1.0) -> FitResult:
+def fit_omega_eff(trace: TimeTrace) -> FitResult:
     """Fit the damped-Rabi model to a population trace.
 
     Free parameters are the effective Rabi frequency and the decay rate.
     The initial Rabi guess comes from the first local maximum of the
-    trace (pi/t_peak); the decay starts at the single-atom value.
+    trace (pi/t_peak); the decay starts at the single-atom value, the
+    unit of every rate (gamma = 1).
     """
     if trace.times.size < 10:
         raise ValueError(f"need at least 10 samples, got {trace.times.size}")
-    if trace.span < 1.0 / gamma:
+    if trace.span < 1.0:
         raise ValueError(
             f"trace spans {trace.span:.3g}/gamma, need at least one decay time"
         )
@@ -135,7 +136,7 @@ def fit_omega_eff(trace: TimeTrace, gamma: float = 1.0) -> FitResult:
     def residuals(p):
         return obe_excited_population(p[0], p[1], trace.times) - trace.values
 
-    x0 = [_initial_rabi_guess(trace, gamma), gamma]
+    x0 = [_initial_rabi_guess(trace), 1.0]
     res = least_squares(
         residuals,
         x0,

@@ -160,7 +160,8 @@ def _read_table(path: str, names) -> dict:
     Lines that start with '#' and rows of blank cells are skipped. Only
     the named columns are converted: a cell that is not a number reads
     as nan, which `_column` reports by its data row, and a row shorter
-    than the header adds nothing to the columns it lacks.
+    than the header adds nothing to the columns it lacks. A named column
+    that the header holds twice is a ConfigError.
     """
     with open(path, newline="") as fh:
         lines = (ln for ln in fh if not ln.startswith("#"))
@@ -170,10 +171,13 @@ def _read_table(path: str, names) -> dict:
     header = [c.strip() for c in rows[0]]
     table = {}
     for name in names:
-        where = [k for k, h in enumerate(header) if h == name]
-        if where:
-            table[name] = np.array([_real(row[k]) for row in rows[1:]
-                                    for k in where if k < len(row)], dtype=float)
+        count = header.count(name)
+        if count > 1:
+            raise ConfigError(f"{path}: column {name} appears {count} times in the header")
+        if count:
+            k = header.index(name)
+            table[name] = np.array([_real(row[k]) for row in rows[1:] if k < len(row)],
+                                   dtype=float)
     return table
 
 

@@ -134,30 +134,31 @@ def liouvillian_rhs(state: DickeLadderState, params: ModelParams) -> np.ndarray:
 
     An O(N^2) stencil, with no (N+1)^2-dimensional operator, applied in
     the gauge rho_{mm'} -> i^{m-m'} rho_{mm'}, where its coefficients are
-    real (`_gauged_rhs`): gauge, stencil, un-gauge. The stencil takes the
-    real and the imaginary part of the gauged rho in turn, so every
-    product is real.
+    real (`_gauged_rhs`): gauge, stencil, un-gauge.
     """
+    _require_ladder(state, params)
+    dim = state.n_atoms + 1
+    out = _gauged_rhs(state.rho * _gauge(dim), params)
+    out *= _gauge(dim, inverse=True)
+    return out
+
+
+def _require_ladder(state: DickeLadderState, params: ModelParams) -> None:
+    """Raise ValueError unless params are resonant and of the state's N."""
     params.require_resonant()
     if params.n_atoms != state.n_atoms:
         raise ValueError(
             f"state has N = {state.n_atoms} but params have N = {params.n_atoms}"
         )
-    phase = _gauge(state.n_atoms + 1)
-    c, d = phase.real, phase.imag  # i^{m-m'} = c + i d
-    re, im = state.rho.real, state.rho.imag
-    tmp = np.empty(re.shape)
-    x_re = np.multiply(re, c)
-    x_re -= np.multiply(im, d, out=tmp)
-    x_im = np.multiply(re, d)
-    x_im += np.multiply(im, c, out=tmp)
-    y_re, y_im = _gauged_rhs(x_re, params), _gauged_rhs(x_im, params)
-    out = np.empty(re.shape, dtype=complex)  # times i^{m'-m} = c - i d
-    np.multiply(y_re, c, out=out.real)
-    out.real += np.multiply(y_im, d, out=tmp)
-    np.multiply(y_im, c, out=out.imag)
-    out.imag -= np.multiply(y_re, d, out=tmp)
-    return out
+
+
+def _rates(params: ModelParams):
+    """The ladder coefficients of the master equation, at i = m + S:
+    drive[i] = (rabi/2) A_m, the drive between m and m + 1 (drive[N] = 0),
+    and drain[i] = -(gamma/2) A_{m-1}^2, the decay out of level m."""
+    a = _coupling_array(params.n_atoms)
+    return (0.5 * params.rabi * a,
+            np.concatenate(([0.0], -0.5 * params.gamma * a[:-1] ** 2)))
 
 
 def _gauged_rhs(x: np.ndarray, params: ModelParams,
@@ -176,8 +177,8 @@ def _gauged_rhs(x: np.ndarray, params: ModelParams,
     the gauge) the mirror is H(x)^T, so H is applied once.
     """
     a = _coupling_array(params.n_atoms)[:-1]  # A_m, m = -S..S-1
-    drive = (0.5 * params.rabi * a)[:, None]
-    drain = np.concatenate(([0.0], -0.5 * params.gamma * a**2))[:, None]
+    drive, drain = _rates(params)
+    drive, drain = drive[:-1, None], drain[:, None]
     half_gamma_a = (0.5 * params.gamma * a)[:, None]
 
     def row_half(y, tmp):
@@ -227,7 +228,7 @@ def evolve(
     `expm_multiply` takes the sparse operator over the whole grid
     (`_propagate_sparse`).
     """
-    params.require_resonant()
+    _require_ladder(state0, params)
     if not 0 < t_final < np.inf:
         raise ValueError(f"t_final must be finite and > 0, got {t_final}")
     if not 0 < tol < np.inf:
@@ -235,10 +236,6 @@ def evolve(
     if n_samples < 2 or n_samples != int(n_samples):
         raise ValueError(f"n_samples must be whole and >= 2, got {n_samples}")
     n = state0.n_atoms
-    if params.n_atoms != n:
-        raise ValueError(
-            f"state has N = {n} but params have N = {params.n_atoms}"
-        )
     dim, n_samples = n + 1, int(n_samples)
     phase = _gauge(dim)
     gauged = state0.rho * phase
@@ -272,7 +269,7 @@ def _sector_operator(params: ModelParams):
     coefficients.
 
     A coordinate is an upper-triangle element x_{j,l}, j <= l, in
-    np.triu_indices order. With the coefficients of `_gauged_rhs`,
+    np.triu_indices order. With the coefficients of `_rates`,
     (L x)_{j,l} takes x_{j,l} itself, x_{j+1,l+1} (decay feed) and the
     drive neighbours x_{j-1,l}, x_{j+1,l}, x_{j,l-1}, x_{j,l+1}; a
     neighbour below the diagonal is its mirror above it, which on the
@@ -282,8 +279,7 @@ def _sector_operator(params: ModelParams):
     """
     n = params.n_atoms
     a = _coupling_array(n)  # a[N] = A_S = 0
-    drive = 0.5 * params.rabi * a
-    a_below_sq = np.concatenate(([0.0], a[:-1] ** 2))  # A_{m-1}^2
+    drive, drain = _rates(params)
     j, l = np.triu_indices(n + 1)
     size = j.size
     coord = np.empty((n + 1, n + 1), dtype=np.intp)
@@ -295,7 +291,7 @@ def _sector_operator(params: ModelParams):
     dj = np.array([0, 1, -1, 1, 0, 0])
     dl = np.array([0, 1, 0, 0, -1, 1])
     coeff = np.array([
-        0.5 * params.gamma * (-a_below_sq[j] - a_below_sq[l]),  # decay drain
+        drain[j] + drain[l],  # decay drain
         params.gamma * (a[l] * a[j]),  # decay feed
         drive[j - 1], -drive[j], drive[l - 1], -drive[l],
     ])
@@ -345,11 +341,18 @@ def _propagate_dense(op, u0, t_final, n_samples):
 
 def _propagate_sparse(op, u0, t_final, n_samples):
     """The samples of `_propagate_dense`, by scipy's expm_multiply on a
-    sparse op (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011))."""
+    sparse op (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
+    Its norm estimate draws from numpy's global RNG, which is seeded for
+    the call and then restored, so every run takes the same steps."""
     from scipy.sparse.linalg import expm_multiply
 
-    return expm_multiply(op, u0, start=0.0, stop=t_final,
-                         num=n_samples, endpoint=True)
+    rng_state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        return expm_multiply(op, u0, start=0.0, stop=t_final,
+                             num=n_samples, endpoint=True)
+    finally:
+        np.random.set_state(rng_state)
 
 
 # i^k at k mod 4.

@@ -59,8 +59,8 @@ def _real(value) -> float:
 class SweepSpec:
     """One sweep: a mode, its parameter grids, and output selection."""
 
-    mode: str
-    grids: dict
+    mode: str | None = None
+    grids: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)
     output_path: str | None = None
     tol: float = DEFAULT_TOL
@@ -122,25 +122,11 @@ class SweepSpec:
         unknown = set(doc) - {"schema_version", *cls.__dataclass_fields__}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(
-            mode=doc.get("mode"),
-            grids=doc.get("grids", {}),
-            outputs=doc.get("outputs", []),
-            output_path=doc.get("output_path"),
-            tol=doc.get("tol", DEFAULT_TOL),
-            settings=doc.get("settings", {}),
-        )
+        return cls(**{k: doc[k] for k in cls.__dataclass_fields__ if k in doc})
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "mode": self.mode,
-            "grids": self.grids,
-            "outputs": self.outputs,
-            "output_path": self.output_path,
-            "tol": self.tol,
-            "settings": self.settings,
-        }
+        return {"schema_version": SCHEMA_VERSION,
+                **{k: getattr(self, k) for k in self.__dataclass_fields__}}
 
     def canonical_hash(self) -> str:
         payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -208,6 +194,13 @@ def _finite(row):
     return [row]
 
 
+def _error_row(point, error):
+    """The row of a point that failed: its grid values as floats, a nan
+    residual and the status `error: <error>`."""
+    return {**{k: float(v) for k, v in point.items()},
+            "residual": math.nan, "status": f"error: {error}"}
+
+
 _SCREENING_FLOATS = ("n_atoms", "beta", "x", "x_asymptote", "residual")
 
 
@@ -239,8 +232,7 @@ def _screening_rows(chunk, *_):
              "residual": residual_k, "status": "ok"}
             for n_k, beta_k, x_k, asym_k, residual_k in values.T.tolist()]
     for k, text in errors.items():
-        rows[k] = {"n_atoms": rows[k]["n_atoms"], "beta": rows[k]["beta"],
-                   "residual": math.nan, "status": f"error: {text}"}
+        rows[k] = _error_row({"n_atoms": n[k], "beta": beta[k]}, text)
     return rows
 
 
@@ -300,10 +292,7 @@ def _eval_point(task):
     try:
         return SWEEP_MODES[mode].rows(point, tol, settings)
     except Exception as exc:  # per-point failures are recorded, not fatal
-        row = {k: float(v) for k, v in point.items()}
-        row["residual"] = float("nan")
-        row["status"] = f"error: {exc}"
-        return [row]
+        return [_error_row(point, exc)]
 
 
 def _eval_chunk(task):
@@ -371,20 +360,18 @@ def _text_cell(value) -> str:
     return text
 
 
-def _cell(value) -> str:
-    return format(value, ".12g") if isinstance(value, float) else _text_cell(value)
-
-
 def _column_template(cells):
     """The %-format of one column and the cells it formats: a column of
     Python floats is written as .12g, a column of strings that need no
-    quoting as is, and any other column through `_cell`."""
+    quoting as is, and any other column cell by cell: a float as .12g,
+    anything else through `_text_cell`."""
     kinds = set(map(type, cells))
     if kinds == {float}:
         return "%.12g", cells
     if kinds == {str} and not any(c in "".join(cells) for c in ',"\n'):
         return "%s", cells
-    return "%s", list(map(_cell, cells))
+    return "%s", [format(v, ".12g") if isinstance(v, float) else _text_cell(v)
+                  for v in cells]
 
 
 def format_csv(result: SweepResult) -> str:

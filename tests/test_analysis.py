@@ -1,9 +1,14 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.integrate import solve_ivp
 
 from ddmsim.analysis import (
+    FitConvergenceError,
     TimeTrace,
+    _initial_rabi_guess,
     UnderdeterminedFitError,
     fit_omega_eff,
     fit_power_law,
@@ -83,6 +88,54 @@ class TestObeClosedForm:
             assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
 
 
+class TestObeInputs:
+    @pytest.mark.parametrize("omega, gamma, t, match", [
+        (1.0, 0.0, 1.0, "gamma must be > 0"),
+        (1.0, -1.0, 1.0, "gamma must be > 0"),
+        (-0.5, 1.0, 1.0, "omega must be >= 0"),
+        (1.0, 1.0, [0.0, -0.1], "t must be >= 0"),
+    ])
+    def test_rejected(self, omega, gamma, t, match):
+        with pytest.raises(ValueError, match=match):
+            obe_excited_population(omega, gamma, t)
+
+
+def fake_least_squares(**fields):
+    """A stand-in for scipy's least_squares that returns a fixed result."""
+    def least_squares(fun, x0, **_kwargs):
+        n_pts = len(fun(np.asarray(x0)))
+        result = dict(success=True, message="", x=np.array([2.0, 1.0]), cost=0.5,
+                      jac=np.ones((n_pts, 2)) * [[1.0, 2.0]])
+        result.update(fields)
+        return SimpleNamespace(**result)
+    return least_squares
+
+
+class TestFitOmegaEff:
+    def test_guess_without_oscillation_inverts_saturation(self):
+        # Overdamped (omega < gamma/4): no interior maximum, so the guess
+        # inverts n_inf = omega^2/(2 omega^2 + 1) of the last samples.
+        t = np.linspace(0.0, 60.0, 300)
+        trace = TimeTrace(times=t, values=obe_excited_population(0.2, 1.0, t))
+        assert np.all(np.diff(trace.values) >= 0)
+        assert _initial_rabi_guess(trace) == pytest.approx(0.2, rel=1e-6)
+
+    def test_unconverged_least_squares_raises(self, monkeypatch):
+        monkeypatch.setattr(scipy.optimize, "least_squares", fake_least_squares(
+            success=False, message="max evaluations", x=np.array([3.0, 0.5])))
+        t = np.linspace(0.0, 10.0, 50)
+        with pytest.raises(FitConvergenceError, match="max evaluations") as err:
+            fit_omega_eff(TimeTrace(times=t, values=obe_excited_population(2.0, 1.0, t)))
+        np.testing.assert_array_equal(err.value.best_params, [3.0, 0.5])
+
+    def test_singular_covariance_is_infinite(self, monkeypatch):
+        # Columns of the Jacobian in proportion: J^T J has no inverse.
+        monkeypatch.setattr(scipy.optimize, "least_squares", fake_least_squares())
+        t = np.linspace(0.0, 10.0, 50)
+        fit = fit_omega_eff(TimeTrace(times=t, values=obe_excited_population(2.0, 1.0, t)))
+        assert (fit.omega_eff, fit.decay) == (2.0, 1.0)
+        assert fit.covariance.shape == (2, 2) and np.all(np.isinf(fit.covariance))
+
 class TestFitOmegaEff:
     @pytest.mark.parametrize("omega", [0.5, 1.0, 2.0, 5.0, 10.0])
     def test_round_trip(self, omega):
@@ -150,6 +203,14 @@ class TestFitPowerLaw:
         alpha, prefactor, _ = fit_power_law(n, 0.7 * n**1.37)
         assert alpha == pytest.approx(1.37, abs=1e-10)
         assert prefactor == pytest.approx(0.7, rel=1e-10)
+
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(ValueError, match="lengths differ"):
+            fit_power_law([1.0, 2.0, 3.0], [1.0, 4.0])
+
+    def test_rejects_identical_n(self):
+        with pytest.raises(ValueError, match="all n_values identical"):
+            fit_power_law([4.0, 4.0, 4.0], [1.0, 2.0, 3.0])
 
     def test_requires_three_points(self):
         with pytest.raises(ValueError):

@@ -50,6 +50,20 @@ class TestSweepCommands:
         assert code == 0
         assert len(out.strip().split("\n")) == 3  # beta grid overridden to 1 point
 
+    def test_outputs_flag_selects_columns(self, capsys):
+        code, out, _ = run_cli(capsys, "steady", "--n-atoms", "4", "--rabi", "2.0",
+                               "--outputs", " g2, n_e ,")
+        assert code == 0
+        assert out.split("\n")[1] == "n_atoms,rabi,n_e,g2,residual,status"
+
+    def test_invalid_json_config_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "sweep.json"
+        path.write_text('{"mode": "steady_state",')
+        code, out, err = run_cli(capsys, "steady", "--config", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"ddmsim: config error: invalid JSON in {path}: ")
+
     def test_mu_command(self, capsys):
         code, out, _ = run_cli(
             capsys, "mu", "--ell-ax", "22.5", "--ell-rad", "0.5"
@@ -433,6 +447,28 @@ class TestFitCommands:
         fit = json.loads(out)
         assert fit["alpha"] == pytest.approx(2.0, abs=1e-10)
         assert fit["prefactor"] == pytest.approx(2.0, rel=1e-10)
+
+    def test_fit_alpha_to_file(self, capsys, tmp_path):
+        path, out_path = tmp_path / "rates.csv", tmp_path / "fit.json"
+        path.write_text("n_atoms,gamma_sr\n" + "".join(
+            f"{n},{2.0 * n**2}\n" for n in range(2, 8)))
+        code, out, _ = run_cli(capsys, "fit-alpha", "--input", str(path),
+                               "--out", str(out_path))
+        assert code == 0 and out == ""
+        fit = json.loads(out_path.read_text())
+        assert list(fit) == ["alpha", "prefactor", "alpha_stderr"]
+        assert fit["alpha"] == pytest.approx(2.0, abs=1e-10)
+
+    @pytest.mark.parametrize("header", ["n_atoms,gamma_sr,n_atoms,gamma_sr",
+                                        "n_atoms,gamma_sr,n_atoms"])
+    def test_repeated_column_is_config_error(self, capsys, tmp_path, header):
+        path = tmp_path / "rates.csv"
+        path.write_text(header + "\n2,8,3,18\n3,18,4,32\n4,32,5,50\n")
+        code, out, err = run_cli(capsys, "fit-alpha", "--input", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == (f"ddmsim: config error: {path}: column n_atoms appears "
+                       "2 times in the header\n")
 
     def test_fit_alpha_missing_column(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"

@@ -121,6 +121,27 @@ def lu_steady_rho(params):
     return rho / np.real(np.trace(rho))
 
 
+def real_split_liouvillian_rhs(state, params):
+    """`liouvillian_rhs` as it was before it applied the stencil to the
+    complex gauged rho: the real stencil on its real and imaginary parts
+    in turn, recombined by hand."""
+    phase = _gauge(state.n_atoms + 1)
+    c, d = phase.real, phase.imag  # i^{m-m'} = c + i d
+    re, im = state.rho.real, state.rho.imag
+    tmp = np.empty(re.shape)
+    x_re = np.multiply(re, c)
+    x_re -= np.multiply(im, d, out=tmp)
+    x_im = np.multiply(re, d)
+    x_im += np.multiply(im, c, out=tmp)
+    y_re, y_im = _gauged_rhs(x_re, params), _gauged_rhs(x_im, params)
+    out = np.empty(re.shape, dtype=complex)  # times i^{m'-m} = c - i d
+    np.multiply(y_re, c, out=out.real)
+    out.real += np.multiply(y_im, d, out=tmp)
+    np.multiply(y_im, c, out=out.imag)
+    out.imag -= np.multiply(y_re, d, out=tmp)
+    return out
+
+
 class TestCouplingCoeff:
     # A[i] = A_m = sqrt(S(S+1) - m(m+1)) at m = i - S, S = N/2.
     def test_top_of_ladder(self):
@@ -141,6 +162,43 @@ class TestCouplingCoeff:
             m = i - s
             scalar = math.sqrt(max(s * (s + 1) - m * (m + 1), 0.0))
             assert a[i] == pytest.approx(scalar, abs=1e-15)
+
+
+class TestDickeLadderState:
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_fewer_than_one_atom(self, n):
+        with pytest.raises(ValueError, match="n_atoms must be >= 1"):
+            DickeLadderState(n)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 3), (4,)])
+    def test_rejects_rho_of_another_shape(self, shape):
+        with pytest.raises(ValueError, match="incompatible with N = 3"):
+            DickeLadderState(3, np.zeros(shape))
+
+
+class TestRates:
+    def test_both_encodings_read_one_rate_table(self, monkeypatch):
+        calls = []
+        rates = ddmsim.ladder._rates
+
+        def counted(params):
+            calls.append(params.n_atoms)
+            return rates(params)
+
+        monkeypatch.setattr(ddmsim.ladder, "_rates", counted)
+        params = ModelParams(n_atoms=4, rabi=1.5)
+        _gauged_rhs(np.eye(5), params)
+        _sector_operator(params)
+        assert calls == [4, 4]
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_values(self, n):
+        params = ModelParams(n_atoms=n, rabi=1.5, gamma=2.5)
+        a = _coupling_array(n)
+        drive, drain = ddmsim.ladder._rates(params)
+        np.testing.assert_allclose(drive, 0.75 * a, rtol=1e-15)
+        np.testing.assert_allclose(drain[1:], -1.25 * a[:-1] ** 2, rtol=1e-15)
+        assert drain[0] == 0.0 and drive[-1] == 0.0
 
 
 class TestLiouvillianRhs:
@@ -183,8 +241,32 @@ class TestLiouvillianRhs:
 
     def test_dimension_mismatch(self):
         state = DickeLadderState.ground(3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="state has N = 3 but params have N = 4"):
             liouvillian_rhs(state, ModelParams(n_atoms=4, rabi=1.0))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 10, 24, 47, 60, 140, 300, 600])
+    @pytest.mark.parametrize("gamma", [1.0, 2.5])
+    def test_bit_equal_to_real_split(self, n, gamma):
+        rng = np.random.default_rng(n)
+        dim = n + 1
+        state = DickeLadderState(
+            n, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        params = ModelParams(n_atoms=n, rabi=0.7 * n, gamma=gamma)
+        got = liouvillian_rhs(state, params)
+        assert got.dtype == np.complex128
+        assert got.tobytes() == real_split_liouvillian_rhs(state, params).tobytes()
+
+    def test_one_stencil_call(self, monkeypatch):
+        calls = []
+        stencil = ddmsim.ladder._gauged_rhs
+
+        def counted(x, params, symmetric=False):
+            calls.append(x.dtype)
+            return stencil(x, params, symmetric)
+
+        monkeypatch.setattr(ddmsim.ladder, "_gauged_rhs", counted)
+        liouvillian_rhs(random_density_matrix(5, seed=0), ModelParams(n_atoms=5, rabi=2.0))
+        assert calls == [np.complex128]
 
     @pytest.mark.parametrize("n", [1, 2, 7, 24, 60])
     @pytest.mark.parametrize("rabi_per_atom", [0.0, 0.7])
@@ -241,6 +323,10 @@ class TestEvolve:
             DickeLadderState.ground(3), ModelParams(n_atoms=3, rabi=2.0), 2.5
         )
         assert list(t) == [0.0, 2.5] and len(states) == 2
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="state has N = 3 but params have N = 4"):
+            evolve(DickeLadderState.ground(3), ModelParams(n_atoms=4, rabi=1.0), 1.0)
 
     def test_collective_overdamping(self):
         # More atoms at the same drive: fewer and weaker oscillations.
@@ -393,6 +479,24 @@ class TestPropagator:
         by_expm_multiply = _propagate_sparse(sparse.csr_array(sector), u0, 8.0, 161)
         assert dense.shape == by_expm_multiply.shape == (161, sector_size(n))
         assert np.max(np.abs(dense - by_expm_multiply)) <= 1e-10
+
+    def test_sparse_branch_is_deterministic(self):
+        # expm_multiply's norm estimate draws from numpy's global RNG; at
+        # this size its step choice differs between these two seeds unless
+        # the RNG is seeded for the call. The caller's RNG state survives.
+        n = largest_dense_n() + 1
+        params = ModelParams(n_atoms=n, rabi=0.25 * n)
+        samples, restored = [], []
+        for seed in (0, 1):
+            np.random.seed(seed)
+            before = np.random.get_state()
+            _, states = evolve(DickeLadderState.ground(n), params, 2.0)
+            after = np.random.get_state()
+            samples.append(states.rho.tobytes())
+            restored.append(np.array_equal(before[1], after[1])
+                            and before[2:] == after[2:])
+        assert samples[0] == samples[1]
+        assert restored == [True, True]
 
     def test_trace_drift_at_largest_dense_size(self):
         n = largest_dense_n()

@@ -70,6 +70,21 @@ class TestSweepSpec:
         with pytest.raises(ConfigError):
             make_spec(grids=grids)
 
+    def test_unknown_grid(self):
+        with pytest.raises(ConfigError, match=r"unknown grids for mode 'steady_state': \['beta'\]"):
+            make_spec(grids={"n_atoms": [2], "rabi": [1.0], "beta": [0.5]})
+
+    def test_dict_round_trip_over_the_declared_fields(self):
+        spec = make_spec(outputs=["g2"], output_path="out.csv")
+        doc = spec.to_dict()
+        assert list(doc) == ["schema_version", *SweepSpec.__dataclass_fields__]
+        assert SweepSpec.from_dict(doc) == spec
+        assert SweepSpec.from_dict(doc).canonical_hash() == spec.canonical_hash()
+
+    def test_mode_is_required(self):
+        with pytest.raises(ConfigError, match="unknown mode None"):
+            SweepSpec.from_dict({"grids": {"n_atoms": [2], "rabi": [1.0]}})
+
     def test_root_not_object(self):
         with pytest.raises(ConfigError, match="root"):
             SweepSpec.from_dict([1])
@@ -283,6 +298,30 @@ class TestSteadyResidual:
         assert row["residual"] == float(
             np.max(np.abs(liouvillian_rhs(state, params)))
         )
+
+
+class TestErrorRows:
+    @pytest.mark.parametrize("mode, grids, failed", [
+        ("screening_curve", {"n_atoms": [20, 0.5], "beta": [0.5, -1.0]}, 3),
+        ("steady_state", {"n_atoms": [2, 3], "rabi": [1.0, -1.0]}, 2),
+        ("cooperativity", {"ell_ax": [22.5, -1.0], "ell_rad": [0.5]}, 1),
+    ])
+    def test_one_builder_for_every_error_row(self, monkeypatch, mode, grids, failed):
+        built = []
+        error_row = ddmsim.sweep._error_row
+
+        def counted(point, error):
+            built.append(error_row(point, error))
+            return built[-1]
+
+        monkeypatch.setattr(ddmsim.sweep, "_error_row", counted)
+        rows = run(SweepSpec.from_dict({"mode": mode, "grids": grids})).rows
+        errors = [row for row in rows if row["status"] != "ok"]
+        assert errors == built and len(built) == failed
+        for row in errors:
+            assert list(row)[-2:] == ["residual", "status"]
+            assert all(type(v) is float for v in list(row.values())[:-1])
+            assert row["status"].startswith("error: ")
 
 
 class TestThreads:

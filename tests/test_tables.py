@@ -199,8 +199,18 @@ class TestReadTable:
                 _read_table(str(path), FIT_COLUMNS)
             assert "no data rows" in str(exc)
             return
-        names = [n for n in FIT_COLUMNS if n in want]
-        same_columns(_read_table(str(path), FIT_COLUMNS), {n: want[n] for n in names})
+        # The reference interleaves the cells of a repeated column; the
+        # reader rejects a read column that the header names twice.
+        header = [c.strip() for c in next(
+            ln for ln in text.splitlines() if ln and not ln.startswith("#")).split(",")]
+        twice = [n for n in FIT_COLUMNS if header.count(n) > 1]
+        if twice:
+            with pytest.raises(ConfigError, match=f"column {twice[0]} appears"):
+                _read_table(str(path), FIT_COLUMNS)
+        names = [n for n in FIT_COLUMNS if n in want and n not in twice]
+        if not twice:
+            same_columns(_read_table(str(path), FIT_COLUMNS),
+                         {n: want[n] for n in names})
         for name in names:  # the same ConfigError, naming the same data row
             try:
                 expected = _column(want, name, "p")
@@ -220,6 +230,15 @@ class TestReadTable:
         assert list(table) == ["gamma_sr", "n_atoms"]
         np.testing.assert_array_equal(table["gamma_sr"], [8.0, 18.0])
         np.testing.assert_array_equal(table["n_atoms"], [2.0, 3.0, 4.0])
+
+    @pytest.mark.parametrize("header", ["n_atoms,gamma_sr,n_atoms,gamma_sr",
+                                        "n_atoms,gamma_sr,n_atoms", " n_atoms,x,n_atoms "])
+    def test_repeated_read_column_is_config_error(self, tmp_path, header):
+        path = tmp_path / "t.csv"
+        path.write_text(header + "\n2,8,3,18\n3,18,4,32\n")
+        with pytest.raises(ConfigError, match="column n_atoms appears 2 times"):
+            _read_table(str(path), ("n_atoms", "gamma_sr"))
+        assert list(_read_table(str(path), ("x",))) == (["x"] if "x" in header else [])
 
 
 # --- screening rows -----------------------------------------------------------
