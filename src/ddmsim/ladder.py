@@ -15,6 +15,7 @@ excited).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -43,18 +44,66 @@ class UndefinedCorrelationError(ValueError):
     """g2(0) requested for a state with vanishing emission rate."""
 
 
-@lru_cache(maxsize=256)
-def _coupling_array(n_atoms: int) -> np.ndarray:
-    """A[i] = A_{m = i - S} for i = 0..N; A[N] = A_S = 0.
+# i^k at k mod 4.
+_PHASES = np.array([1, 1j, -1, -1j])
 
-    Cached per N (N + 1 floats) and read-only: every steady state,
-    stencil and observable set at that N reads the same coefficients.
+
+@dataclass(frozen=True, eq=False)
+class _Ladder:
+    """The read-only O(N) tables of one ladder size (`_ladder`).
+
+    a[i] = A_{m = i - S} for i = 0..N, with a[N] = A_S = 0, and
+    am1[i] = A_{m-1}, with am1[0] = 0.
+    drain_base[i] = A_{m-1}^2, whose first entry is -0.0, so that the
+    drain -(gamma/2) drain_base of `_rates` starts at +0.0 (a negative
+    times -0.0). The rows of weights, m, A_{m-1}^2 and
+    A_{m-1}^2 A_{m-2}^2, weigh the populations in <S_z>, <S+S-> and
+    <S+S+S-S->. gauge and gauge_inverse are the (N+1) x (N+1) phase
+    views of `_gauge`.
     """
+
+    a: np.ndarray
+    am1: np.ndarray
+    drain_base: np.ndarray
+    weights: np.ndarray
+    gauge: np.ndarray
+    gauge_inverse: np.ndarray
+
+
+@lru_cache(maxsize=256)
+def _ladder(n_atoms: int) -> _Ladder:
+    """The tables of the ladder of n_atoms spins, cached per N: every
+    steady state, stencil and observable set at that N reads the same
+    arrays instead of rebuilding them. Nothing (N+1)^2-sized is held;
+    the phase views rest on 2N + 1 phases each."""
     s = n_atoms / 2.0
     m = np.arange(n_atoms + 1) - s
     a = np.sqrt(np.maximum(s * (s + 1) - m * (m + 1), 0.0))
-    a.flags.writeable = False
-    return a
+    # am2[i] = A_{m-2}, am1[i] = A_{m-1}: slices of one padded array.
+    padded = np.concatenate(([0.0, 0.0], a[:-1]))
+    am2, am1 = padded[:-1], padded[1:]
+    am1_sq = am1**2
+    drain_base = am1_sq.copy()
+    drain_base[0] = -0.0
+    weights = np.stack((m, am1_sq, am1_sq * am2**2))
+    for array in (a, am1, drain_base, weights):
+        array.flags.writeable = False
+    return _Ladder(a, am1, drain_base, weights,
+                   _phase_view(n_atoms + 1, inverse=False),
+                   _phase_view(n_atoms + 1, inverse=True))
+
+
+def _phase_view(dim: int, inverse: bool) -> np.ndarray:
+    """The dim x dim Toeplitz matrix of phases i^{m-m'} (their conjugates
+    if inverse), phase[j, l] = w[dim - 1 - j + l]: a read-only view of
+    the 2 dim - 1 phases w with a negative row stride."""
+    phases = _PHASES[(dim - 1 - np.arange(2 * dim - 1)) % 4]
+    if inverse:
+        phases = phases.conj()
+    phases.flags.writeable = False
+    step = phases.itemsize
+    return np.ndarray((dim, dim), phases.dtype, phases, offset=(dim - 1) * step,
+                      strides=(-step, step))
 
 
 @dataclass
@@ -156,13 +205,12 @@ def _rates(params: ModelParams):
     """The ladder coefficients of the master equation, at i = m + S:
     drive[i] = (rabi/2) A_m, the drive between m and m + 1 (drive[N] = 0),
     and drain[i] = -(gamma/2) A_{m-1}^2, the decay out of level m."""
-    a = _coupling_array(params.n_atoms)
-    return (0.5 * params.rabi * a,
-            np.concatenate(([0.0], -0.5 * params.gamma * a[:-1] ** 2)))
+    tables = _ladder(params.n_atoms)
+    return 0.5 * params.rabi * tables.a, -0.5 * params.gamma * tables.drain_base
 
 
 def _gauged_rhs(x: np.ndarray, params: ModelParams,
-                symmetric: bool = False) -> np.ndarray:
+                symmetric: bool = False, work: np.ndarray | None = None) -> np.ndarray:
     """The resonant master equation on a gauged x_{m,m'} = i^{m-m'} rho_{m,m'}.
 
     Every coefficient is real. Drive couples x_{m,m'} to its four
@@ -174,19 +222,30 @@ def _gauged_rhs(x: np.ndarray, params: ModelParams,
     The stencil is a row half and its mirror: L x = H(x) + H(x^T)^T,
     where H holds the terms along m and half of the feed. For a
     symmetric x (symmetric=True; every resonant steady state is one in
-    the gauge) the mirror is H(x)^T, so H is applied once.
+    the gauge) the mirror is H(x)^T, so H is applied once. work, if
+    given, is a contiguous buffer of 2 x.size elements of x's type that
+    holds H and the scratch, and the result is a view into it.
     """
-    a = _coupling_array(params.n_atoms)[:-1]  # A_m, m = -S..S-1
+    tables = _ladder(params.n_atoms)
+    a = tables.a[:-1]  # A_m, m = -S..S-1
     drive, drain = _rates(params)
     drive, drain = drive[:-1, None], drain[:, None]
     half_gamma_a = (0.5 * params.gamma * a)[:, None]
 
-    def row_half(y, tmp):
-        h = drain * y
-        feed = tmp[:-1, :-1]
-        np.multiply(y[1:, 1:], a, out=feed)
+    am1, end = tables.am1, params.n_atoms * (params.n_atoms + 1) - 1
+
+    def row_half(y, h, tmp):
+        np.multiply(drain, y, out=h)
+        # The feed from x_{m+1,m'+1} is formed on whole rows 1..N of y:
+        # column l + 1 of feed row j holds the term of h[j, l], so that it
+        # is added to h in one flat pass. Column 0 then lands on h[j, N],
+        # past the last term of its row, and holds -0.0, which adds
+        # nothing to any value.
+        feed = tmp[:-1]
+        np.multiply(y[1:], am1, out=feed)
         feed *= half_gamma_a
-        h[:-1, :-1] += feed
+        feed[:, 0] = -0.0
+        h.reshape(-1)[:end] += tmp.reshape(-1)[1:end + 1]
         h[1:] += np.multiply(drive, y[:-1], out=tmp[1:])
         h[:-1] -= np.multiply(drive, y[1:], out=tmp[:-1])
         return h
@@ -195,10 +254,14 @@ def _gauged_rhs(x: np.ndarray, params: ModelParams,
     # sum: from about N = 125 a fresh (N+1)^2 temporary per term is a
     # fresh memory mapping, whose page faults cost more than the
     # arithmetic.
-    tmp = np.empty(x.shape, np.result_type(x, a))
-    half = row_half(x, tmp)
-    mirror = half if symmetric else row_half(x.T, tmp)
-    return np.add(half, mirror.T, out=tmp)
+    if work is None:
+        work = np.empty((2, *x.shape), np.result_type(x, a))
+    h, tmp = work.reshape(2, *x.shape)
+    row_half(x, h, tmp)
+    if symmetric:
+        return np.add(h, h.T, out=tmp)
+    h += row_half(x.T, np.empty_like(h), tmp).T
+    return h
 
 
 def evolve(
@@ -278,7 +341,7 @@ def _sector_operator(params: ModelParams):
     scipy sparse array above that.
     """
     n = params.n_atoms
-    a = _coupling_array(n)  # a[N] = A_S = 0
+    a = _ladder(n).a  # a[N] = A_S = 0
     drive, drain = _rates(params)
     j, l = np.triu_indices(n + 1)
     size = j.size
@@ -309,26 +372,47 @@ def _sector_operator(params: ModelParams):
 # Taylor degree for ||A dt||_1 <= 1/2 after scaling: the truncated tail
 # is below 2^-53 relative.
 _TAYLOR_THETA, _TAYLOR_DEGREE = 0.5, 14
+# 1/k! for k = 0.._TAYLOR_DEGREE.
+_TAYLOR_COEFFS = [1.0 / math.factorial(k) for k in range(_TAYLOR_DEGREE + 1)]
+
+
+def _taylor_polynomial(x: np.ndarray) -> np.ndarray:
+    """sum_{k=0}^{14} x^k/k! for a square x, by Paterson & Stockmeyer
+    (SIAM J. Comput. 2, 60 (1973)) in y = x^2, formed once: the
+    polynomial is B_0 + y (B_1 + ... y (B_5 + y B_6)), where
+    B_i = 1/(2i)! + x/(2i + 1)! and B_6 = 1/12! + x/13! + y/14!. Seven
+    matrix products instead of Horner's 13, in as many dense buffers as
+    Horner's form: x and three more. (Horner in x^3 or x^4 takes six
+    products, but holds one or two more buffers at once.)"""
+    c = _TAYLOR_COEFFS
+    diag = slice(None, None, x.shape[0] + 1)
+    x2 = x @ x
+    p, tmp = np.multiply(x, c[13]), np.multiply(x2, c[14])
+    p += tmp
+    p.flat[diag] += c[12]
+    for i in (10, 8, 6, 4, 2, 0):
+        np.matmul(x2, p, out=tmp)
+        tmp += np.multiply(x, c[i + 1], out=p)
+        tmp.flat[diag] += c[i]
+        p, tmp = tmp, p
+    return p
 
 
 def _propagate_dense(op, u0, t_final, n_samples):
     """exp(op t_k) u0 on t_k = k t_final/(n_samples - 1), one row per t_k.
 
-    P = exp(op dt) is formed once by scaling and squaring the Taylor
-    polynomial (Horner form) in three dense buffers, then applied
-    n_samples - 1 times.
+    P = exp(op dt) is formed once by scaling and squaring the degree-14
+    Taylor polynomial (`_taylor_polynomial`), then applied n_samples - 1
+    times: 7 matrix products for the polynomial and one per squaring.
+    op is scaled in place to op dt/2^s, which saves the polynomial a
+    buffer; `evolve` hands over the operator it built for the call.
     """
     dt = t_final / (n_samples - 1)
     norm = abs(op).sum(axis=0).max() * dt
     squarings = int(np.ceil(np.log2(max(norm / _TAYLOR_THETA, 1.0))))
-    x = op * (dt / 2.0**squarings)
-    p, tmp = x / _TAYLOR_DEGREE, np.empty_like(x)
-    p.flat[:: x.shape[0] + 1] += 1.0
-    for k in range(_TAYLOR_DEGREE - 1, 0, -1):
-        np.matmul(x, p, out=tmp)
-        tmp /= k
-        tmp.flat[:: x.shape[0] + 1] += 1.0
-        p, tmp = tmp, p
+    op *= dt / 2.0**squarings
+    p = _taylor_polynomial(op)
+    tmp = np.empty_like(p)
     for _ in range(squarings):
         np.matmul(p, p, out=tmp)
         p, tmp = tmp, p
@@ -355,28 +439,23 @@ def _propagate_sparse(op, u0, t_final, n_samples):
         np.random.set_state(rng_state)
 
 
-# i^k at k mod 4.
-_PHASES = np.array([1, 1j, -1, -1j])
-
-
 def _gauge(dim: int, inverse: bool = False) -> np.ndarray:
     """Phases i^{m-m'} of the resonant gauge, a dim x dim matrix.
 
     inverse=True gives their conjugates i^{m'-m}, which undo the gauge.
-    The matrix is Toeplitz, phase[j, l] = w[dim - 1 - j + l], so it is
-    returned as a read-only view of the 2 dim - 1 phases w, with a
-    negative row stride: no dim x dim array is built.
+    The matrix is a read-only view of 2 dim - 1 phases (`_phase_view`),
+    cached with the other tables of its N: no dim x dim array is built.
     """
-    phases = _PHASES[(dim - 1 - np.arange(2 * dim - 1)) % 4]
-    if inverse:
-        phases = phases.conj()
-    phases.flags.writeable = False
-    step = phases.itemsize
-    return np.ndarray((dim, dim), phases.dtype, phases, offset=(dim - 1) * step,
-                      strides=(-step, step))
+    tables = _ladder(dim - 1)
+    return tables.gauge_inverse if inverse else tables.gauge
 
 
-def _resonant_steady_rho(params: ModelParams) -> np.ndarray:
+# Columns per block of the cumulative product in `_resonant_steady_rho`:
+# a block of columns up to l runs its product over rows 0..l only.
+_CHAIN_BLOCK = 64
+
+
+def _resonant_steady_rho(params: ModelParams, work: np.ndarray) -> np.ndarray:
     """Closed-form resonant steady state rho ~ Y^+ Y, Y = (1 - S+/g)^-1,
     in the gauge: the real symmetric R_{m,m'} = i^{m-m'} rho_{m,m'}.
 
@@ -384,37 +463,69 @@ def _resonant_steady_rho(params: ModelParams) -> np.ndarray:
     Carmichael, J. Phys. B 13, 3551 (1980)). With r = rabi/gamma the
     populations p obey d_l = 1 + (A_l/r)^2 d_{l+1} from d_N = 1, and the
     gauged state is real, positive and semiseparable: above the diagonal
-    R[j, l] = p_l prod_{k=j}^{l-1} A_k/r. That is one reverse cumulative
-    product down each column, starting from p_l on the diagonal, in
-    O(N^2) with no inverse or matrix product. The populations are
-    rescaled as they grow, so nothing overflows at weak drive and large
-    N.
+    R[j, l] = p_l prod_{k=j}^{l-1} A_k/r, the product taken from k = l - 1
+    down. The populations are rescaled as they grow, so nothing
+    overflows at weak drive and large N.
+
+    The products are built as chains, row k of column l holding
+    R[l - k, l], so that every chain starts in row 0 with p_l and the
+    rows past a chain's end (k > l) are never read: one cumulative
+    product down the columns, over rows 0..l of each block of columns,
+    with no mask. One strided copy lays each chain's mirror in the rows
+    before, and R is one strided view of the two, copied out.
+
+    work is a flat float buffer of 3 (N+1)^2 elements: the chains take
+    the first 2 (N+1)^2 and R, the returned view, the rest.
     """
     n = params.n_atoms
-    a = _coupling_array(n)[:-1]
+    dim = n + 1
+    a = _ladder(n).a[:-1]
     r = params.rabi / params.gamma
     d, one = [1.0], 1.0
+    append = d.append
+    last = 1.0
     for q in ((a / r) ** 2)[::-1].tolist():
-        d.append(one + q * d[-1])
-        if d[-1] > 1e150:
+        last = one + q * last
+        append(last)
+        if last > 1e150:
             # Rescale the tail and the constant term together.
-            scale = d[-1]
-            d = [v / scale for v in d]
-            one /= scale
+            d = [v / last for v in d]
+            append = d.append
+            one /= last
+            last = d[-1]
     pops = np.array(d[::-1])
-    pops /= pops.sum()
+    pops /= np.add.reduce(pops)
 
-    # Column l of `steps`, read from the bottom: ones below the diagonal,
-    # p_l on it, then A_{l-1}/r, A_{l-2}/r, ... above it. A_k/r is taken
-    # as A_k * (1/r), which is how numpy rounds the complex A_k/g, so the
-    # un-gauged R has the values of the complex closed form to the bit.
-    idx = np.arange(n + 1)
-    below = np.greater.outer(idx, idx)
-    steps = np.where(below, 1.0, np.append(a * (1.0 / r), 1.0)[:, None])
-    steps.flat[:: n + 2] = pops
-    upper = np.cumprod(steps[::-1], axis=0, out=steps[::-1])[::-1]
-    np.copyto(upper, upper.T, where=below)
-    return upper
+    # steps[n + l - k] is the k-th factor of chain l, A_{l-k}/r, and ones
+    # pad the rows past the chain's end. A_k/r is taken as A_k * (1/r),
+    # which is how numpy rounds the complex A_k/g, so the un-gauged R has
+    # the values of the complex closed form to the bit.
+    steps = np.empty(2 * n)
+    steps[:n] = 1.0
+    np.multiply(a, 1.0 / r, out=steps[n:])
+    step = steps.itemsize
+    factors = np.ndarray((n, dim), float, steps, offset=(n - 1) * step,
+                         strides=(-step, step))  # rows k = 1..N
+    chains = work[n * dim:(n + dim) * dim].reshape(dim, dim)
+    chains[0] = pops
+    for c0 in range(0, dim, _CHAIN_BLOCK):
+        c1 = min(c0 + _CHAIN_BLOCK, dim)
+        block = chains[:c1, c0:c1]
+        block[1:] = factors[:c1 - 1, c0:c1]
+        np.multiply.accumulate(block, 0, out=block)
+    # Row n - k of `work` holds chain row k shifted left by k: entry l is
+    # R[l + k, l] = R[l, l + k]. Entries past the ladder copy whatever
+    # lies there, and nothing reads them.
+    mirror = np.ndarray((n, dim), float, work, offset=((n + 1) * dim + 1) * step,
+                        strides=((dim + 1) * step, step))
+    np.copyto(np.ndarray((n, dim), float, work, offset=(n - 1) * dim * step,
+                         strides=(-dim * step, step)), mirror)
+    # R[j, l] = work[(n + l - j) dim + l]: chain row l - j of column l
+    # for j <= l, the mirror row for j > l.
+    gauged = work[2 * dim * dim:].reshape(dim, dim)
+    np.copyto(gauged, np.ndarray((dim, dim), float, work, offset=n * dim * step,
+                                 strides=(-dim * step, (dim + 1) * step)))
+    return gauged
 
 
 def steady_state(params: ModelParams, resid_tol: float = 1e-10) -> DickeLadderState:
@@ -426,6 +537,13 @@ def steady_state(params: ModelParams, resid_tol: float = 1e-10) -> DickeLadderSt
     to N = 2000 at beta = 0.01..100. A Liouvillian residual max |L rho|
     above resid_tol (or a non-finite one) raises a RuntimeError; the
     returned state carries that residual in its `residual` field.
+
+    Each call makes one allocation of 3 (N+1)^2 floats: the chains of
+    `_resonant_steady_rho`, R and the stencil's scratch share it, and
+    rho is a view of its first two thirds. Fresh (N+1)^2 temporaries
+    would each cost a fresh memory mapping from about N = 125, whose
+    page faults cost more than the arithmetic; one buffer is reused
+    from the heap call after call. About 0.15 s at N = 2000 on 2 cores.
     """
     params.require_resonant()
     n = params.n_atoms
@@ -434,33 +552,34 @@ def steady_state(params: ModelParams, resid_tol: float = 1e-10) -> DickeLadderSt
         state = DickeLadderState.ground(n)
         state.residual = 0.0
         return state
-    gauged = _resonant_steady_rho(params)
-    rhs = _gauged_rhs(gauged, params, symmetric=True)
-    residual = float(np.abs(rhs, out=rhs).max())
-    del rhs  # freed before rho is built: fewer pages live at once
-    # Cast first: a real array times the complex phase view takes
-    # numpy's buffered casting path, which page-faults at large N.
-    rho = gauged.astype(complex)
-    rho *= _gauge(n + 1, inverse=True)
+    dim = n + 1
+    work = np.empty(3 * dim * dim)
+    gauged = _resonant_steady_rho(params, work)
+    scratch = work[:2 * dim * dim]
+    rhs = _gauged_rhs(gauged, params, symmetric=True, work=scratch)
+    # max |rhs|, as abs() of the larger of max and -min: that is >= 0
+    # except for -0.0, which abs() turns into 0.0.
+    residual = abs(max(float(np.maximum.reduce(rhs, None)),
+                       -float(np.minimum.reduce(rhs, None))))
+    rho = scratch.view(complex).reshape(dim, dim)
+    np.copyto(rho, gauged)
+    rho *= _gauge(dim, inverse=True)
     state = DickeLadderState(n, rho)
     state.residual = residual
-    if not state.residual <= resid_tol:
+    if not residual <= resid_tol:
         raise RuntimeError(
-            f"steady-state residual {state.residual:.3e} exceeds {resid_tol:.1e}"
+            f"steady-state residual {residual:.3e} exceeds {resid_tol:.1e}"
         )
     return state
 
 
-def _emission_sums(state):
-    """<S+S-> and <S+S+S-S->, summed over the last axis of the
-    populations of `state.rho`: numpy scalars for one state, arrays for
-    a trajectory."""
-    # am2[i] = A_{m-2}, am1[i] = A_{m-1}: slices of one padded array.
-    padded = np.concatenate(([0.0, 0.0], _coupling_array(state.n_atoms)[:-1]))
-    am2, am1 = padded[:-1], padded[1:]
-    am1_sq = am1**2
-    pops = state.rho.diagonal(0, -2, -1).real
-    return (am1_sq * pops).sum(-1), (am1_sq * am2**2 * pops).sum(-1)
+def _weighted_sums(weights: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """sum_m w_k[m] rho_{m,m} for each row w_k of weights: one row of
+    sums per weight, over the samples of a stack of rho."""
+    pops = rho.diagonal(0, -2, -1).real
+    if pops.ndim > 1:
+        weights = weights[:, None, :]
+    return np.add.reduce(weights * pops, -1)
 
 
 def observables(state) -> ObservableSet:
@@ -473,15 +592,11 @@ def observables(state) -> ObservableSet:
     in one call.
     """
     n = state.n_atoms
-    s = n / 2.0
-    am1 = _coupling_array(n)[:-1]  # A_{m-1} at m = -S+1..S
-    pops = state.rho.diagonal(0, -2, -1).real
-    m = np.arange(n + 1) - s
-
-    s_z = (m * pops).sum(-1) / s
+    tables = _ladder(n)
+    m_sum, spsm, g2_num = _weighted_sums(tables.weights, state.rho)
+    s_z = m_sum / (n / 2.0)
     # <S-> = sum_m A_{m-1} rho_{m,m-1}
-    dipole = (am1 * state.rho.diagonal(-1, -2, -1)).sum(-1)
-    spsm, g2_num = _emission_sums(state)
+    dipole = np.add.reduce(tables.a[:-1] * state.rho.diagonal(-1, -2, -1), -1)
     if state.rho.ndim == 2:
         s_z, dipole = float(s_z), complex(dipole)
         spsm, g2_num = float(spsm), float(g2_num)
@@ -496,7 +611,9 @@ def observables(state) -> ObservableSet:
 
 def g2_zero(state: DickeLadderState) -> float:
     """Equal-time intensity correlation <S+S+S-S-> / <S+S->^2."""
-    spsm, g2_num = map(float, _emission_sums(state))
+    # <S+S-> and <S+S+S-S->
+    spsm, g2_num = _weighted_sums(_ladder(state.n_atoms).weights[1:],
+                                  state.rho).tolist()
     if spsm < 1e-14:
         raise UndefinedCorrelationError(
             f"<S+S-> = {spsm:.3e} too small to define g2(0)"

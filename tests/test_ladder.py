@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ import ddmsim.ladder
 from ddmsim.ladder import (
     _DENSE_MAX_ROWS,
     DickeLadderState,
+    LadderTrajectory,
     UndefinedCorrelationError,
-    _coupling_array,
+    _ladder,
     _gauge,
     _gauged_rhs,
     _propagate_dense,
@@ -63,7 +65,7 @@ def superoperator(params):
     """Sparse complex Liouvillian on vec(rho) (column-major stacking),
     with detuned drive: H = (rabi/2)(S+ + S-) - (detuning/2) S_z."""
     n = params.n_atoms
-    a = _coupling_array(n)
+    a = _ladder(n).a
     dim = n + 1
     sm = sparse.diags(a[:-1], 1, format="csr")  # <i-1|S-|i> = A[i-1]
     sp_op = sm.T.tocsr()
@@ -145,18 +147,18 @@ def real_split_liouvillian_rhs(state, params):
 class TestCouplingCoeff:
     # A[i] = A_m = sqrt(S(S+1) - m(m+1)) at m = i - S, S = N/2.
     def test_top_of_ladder(self):
-        assert _coupling_array(2)[2] == 0.0
+        assert _ladder(2).a[2] == 0.0
 
     def test_middle(self):
-        assert _coupling_array(2)[1] == pytest.approx(np.sqrt(2), abs=1e-15)
+        assert _ladder(2).a[1] == pytest.approx(np.sqrt(2), abs=1e-15)
 
     def test_bottom(self):
         # A_{-S} = sqrt(2S)
-        assert _coupling_array(10)[0] == pytest.approx(np.sqrt(10), abs=1e-15)
+        assert _ladder(10).a[0] == pytest.approx(np.sqrt(10), abs=1e-15)
 
     def test_array_matches_scalar(self):
         n = 7
-        a = _coupling_array(n)
+        a = _ladder(n).a
         s = n / 2
         for i in range(n + 1):
             m = i - s
@@ -194,7 +196,7 @@ class TestRates:
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_values(self, n):
         params = ModelParams(n_atoms=n, rabi=1.5, gamma=2.5)
-        a = _coupling_array(n)
+        a = _ladder(n).a
         drive, drain = ddmsim.ladder._rates(params)
         np.testing.assert_allclose(drive, 0.75 * a, rtol=1e-15)
         np.testing.assert_allclose(drain[1:], -1.25 * a[:-1] ** 2, rtol=1e-15)
@@ -475,8 +477,8 @@ class TestPropagator:
         sector = _sector_operator(ModelParams(n_atoms=n, rabi=0.75 * n))
         u0 = np.zeros(sector.shape[0])
         u0[0] = 1.0  # the ground state
-        dense = _propagate_dense(sector, u0, 8.0, 161)
         by_expm_multiply = _propagate_sparse(sparse.csr_array(sector), u0, 8.0, 161)
+        dense = _propagate_dense(sector, u0, 8.0, 161)  # scales sector in place
         assert dense.shape == by_expm_multiply.shape == (161, sector_size(n))
         assert np.max(np.abs(dense - by_expm_multiply)) <= 1e-10
 
@@ -628,7 +630,7 @@ def row_recurrence_steady_rho(params):
     product, kept as the reference: populations from the top, then each
     coherence from the one below it, rho[j, l] = conj(A_j/g) rho[j+1, l]."""
     n = params.n_atoms
-    a = _coupling_array(n)[:-1]
+    a = _ladder(n).a[:-1]
     g = 1j * params.rabi / params.gamma
     ratio = (a / abs(g)) ** 2
     pops = np.empty(n + 1)
@@ -709,6 +711,30 @@ class TestModelParams:
     def test_rejects_non_finite_drive(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             ModelParams(n_atoms=4, **{"rabi": 1.0, field: value})
+
+    @pytest.mark.parametrize("n_atoms", [2.5, 3.0, True, False, np.True_, "3", None])
+    def test_rejects_atom_number_that_is_not_an_integer(self, n_atoms):
+        # 2.5 and 3.0 used to be accepted and fail later in steady_state
+        # (slice indices must be integers); True solved N = 1.
+        with pytest.raises(ValueError, match="n_atoms must be an integer"):
+            ModelParams(n_atoms=n_atoms, rabi=1.0)
+
+    @pytest.mark.parametrize("field", ["rabi", "detuning", "gamma"])
+    @pytest.mark.parametrize("value", [True, False, np.True_, "1.0", None, 1j])
+    def test_rejects_drive_that_is_not_a_real_number(self, field, value):
+        # rabi=True used to become a drive of 1.0.
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+            ModelParams(n_atoms=4, **{"rabi": 1.0, field: value})
+
+    @pytest.mark.parametrize("n_atoms", [np.int64(3), np.int32(3), np.uint8(3)])
+    def test_numpy_integer_atom_number_is_accepted(self, n_atoms):
+        params = ModelParams(n_atoms=n_atoms, rabi=np.float64(1.5), gamma=np.int64(1))
+        assert type(params.n_atoms) is int and params.n_atoms == 3
+        ref = steady_state(ModelParams(n_atoms=3, rabi=1.5))
+        assert steady_state(params).rho.tobytes() == ref.rho.tobytes()
+
+    def test_int_drive_is_accepted(self):
+        assert ModelParams(n_atoms=4, rabi=2, detuning=0, gamma=1).beta == 1.0
 
 
 class TestSteadyState:
@@ -871,3 +897,316 @@ class TestG2:
     def test_undefined_for_ground_state(self):
         with pytest.raises(UndefinedCorrelationError):
             g2_zero(DickeLadderState.ground(5))
+
+
+# --- one steady point at the cost of its arithmetic --------------------------
+#
+# References: the steady-state path as it was before the per-N tables,
+# the chained cumulative product and the single work buffer: rates and
+# weights rebuilt per call, the closed form as one reverse cumulative
+# product down each column with a mask of ones below the diagonal, the
+# stencil on fresh temporaries, and |.|.max() for the residual. The new
+# code keeps every product's operands and their order, so it must match
+# these to the bit.
+
+def reference_coupling(n):
+    s = n / 2.0
+    m = np.arange(n + 1) - s
+    return np.sqrt(np.maximum(s * (s + 1) - m * (m + 1), 0.0))
+
+
+def reference_rates(params):
+    a = reference_coupling(params.n_atoms)
+    return (0.5 * params.rabi * a,
+            np.concatenate(([0.0], -0.5 * params.gamma * a[:-1] ** 2)))
+
+
+def reference_gauged_rhs(x, params, symmetric=False):
+    a = reference_coupling(params.n_atoms)[:-1]
+    drive, drain = reference_rates(params)
+    drive, drain = drive[:-1, None], drain[:, None]
+    half_gamma_a = (0.5 * params.gamma * a)[:, None]
+
+    def row_half(y, tmp):
+        h = drain * y
+        feed = tmp[:-1, :-1]
+        np.multiply(y[1:, 1:], a, out=feed)
+        feed *= half_gamma_a
+        h[:-1, :-1] += feed
+        h[1:] += np.multiply(drive, y[:-1], out=tmp[1:])
+        h[:-1] -= np.multiply(drive, y[1:], out=tmp[:-1])
+        return h
+
+    tmp = np.empty(x.shape, np.result_type(x, a))
+    half = row_half(x, tmp)
+    mirror = half if symmetric else row_half(x.T, tmp)
+    return np.add(half, mirror.T, out=tmp)
+
+
+def reference_phases(dim, inverse=False):
+    idx = np.arange(dim)
+    table = np.array([1, 1j, -1, -1j])[(idx[:, None] - idx[None, :]) % 4]
+    return table.conj() if inverse else table
+
+
+def reference_resonant_steady_rho(params):
+    n = params.n_atoms
+    a = reference_coupling(n)[:-1]
+    r = params.rabi / params.gamma
+    d, one = [1.0], 1.0
+    for q in ((a / r) ** 2)[::-1].tolist():
+        d.append(one + q * d[-1])
+        if d[-1] > 1e150:
+            scale = d[-1]
+            d = [v / scale for v in d]
+            one /= scale
+    pops = np.array(d[::-1])
+    pops /= pops.sum()
+    idx = np.arange(n + 1)
+    below = np.greater.outer(idx, idx)
+    steps = np.where(below, 1.0, np.append(a * (1.0 / r), 1.0)[:, None])
+    steps.flat[:: n + 2] = pops
+    upper = np.cumprod(steps[::-1], axis=0, out=steps[::-1])[::-1]
+    np.copyto(upper, upper.T, where=below)
+    return upper
+
+
+def reference_steady_state(params):
+    """(rho, residual, gauged R, stencil of R)."""
+    gauged = reference_resonant_steady_rho(params)
+    rhs = reference_gauged_rhs(gauged, params, symmetric=True)
+    residual = float(np.abs(rhs).max())
+    rho = gauged.astype(complex)
+    rho *= reference_phases(params.n_atoms + 1, inverse=True)
+    return rho, residual, gauged, rhs
+
+
+def reference_liouvillian_rhs(state, params):
+    dim = state.n_atoms + 1
+    out = reference_gauged_rhs(state.rho * reference_phases(dim), params)
+    out *= reference_phases(dim, inverse=True)
+    return out
+
+
+def reference_emission_sums(state):
+    padded = np.concatenate(([0.0, 0.0], reference_coupling(state.n_atoms)[:-1]))
+    am2, am1 = padded[:-1], padded[1:]
+    am1_sq = am1**2
+    pops = state.rho.diagonal(0, -2, -1).real
+    return (am1_sq * pops).sum(-1), (am1_sq * am2**2 * pops).sum(-1)
+
+
+def reference_observables_of(state):
+    """s_z, n_e, dipole, <S+S->, <S+S+S-S-> as arrays (or numpy scalars)."""
+    n = state.n_atoms
+    am1 = reference_coupling(n)[:-1]
+    pops = state.rho.diagonal(0, -2, -1).real
+    m = np.arange(n + 1) - n / 2.0
+    s_z = (m * pops).sum(-1) / (n / 2.0)
+    dipole = (am1 * state.rho.diagonal(-1, -2, -1)).sum(-1)
+    spsm, g2_num = reference_emission_sums(state)
+    return s_z, 0.5 * (s_z + 1.0), dipole, spsm, g2_num
+
+
+PINNED_N = [*range(1, 61), 98, 140, 600, 2000]
+PINNED_BETAS = (0.01, 0.5, 1.0, 1.1, 2.75, 100.0)
+
+
+def pinned_params(n):
+    cases = [ModelParams(n_atoms=n, rabi=0.5 * beta * n) for beta in PINNED_BETAS]
+    cases.append(ModelParams(n_atoms=n, rabi=0.5 * 1.1 * n * 2.5, gamma=2.5))
+    return cases
+
+
+def population_rescales(params):
+    """Whether the closed form's population recurrence passes 1e150,
+    where it rescales."""
+    a = reference_coupling(params.n_atoms)[:-1]
+    r = params.rabi / params.gamma
+    d = 1.0
+    for q in ((a / r) ** 2)[::-1].tolist():
+        d = 1.0 + q * d
+        if d > 1e150:
+            return True
+    return False
+
+
+class TestSteadyPointBitForBit:
+    """The steady point built from per-N tables in one buffer, against the
+    per-call construction it replaces, byte for byte."""
+
+    @pytest.mark.parametrize("n", PINNED_N)
+    def test_steady_state_matches_reference(self, n):
+        for params in pinned_params(n):
+            rho, residual, gauged, rhs = reference_steady_state(params)
+            work = np.empty(3 * (n + 1) ** 2)
+            assert (ddmsim.ladder._resonant_steady_rho(params, work).tobytes()
+                    == gauged.tobytes())
+            assert _gauged_rhs(gauged, params, symmetric=True).tobytes() == rhs.tobytes()
+            state = steady_state(params)
+            assert state.rho.tobytes() == rho.tobytes(), params
+            assert state.residual == residual, params
+            obs = observables(state)
+            s_z, n_e, dipole, spsm, g2_num = map(complex, reference_observables_of(state))
+            assert (obs.s_z, obs.n_e, obs.gamma_sr, obs.g2_numerator) == (
+                s_z.real, n_e.real, spsm.real, g2_num.real)
+            assert obs.dipole == dipole
+            if spsm.real >= 1e-14:
+                assert g2_zero(state) == g2_num.real / spsm.real**2
+
+    def test_weak_drive_at_large_n_takes_the_rescale(self):
+        # N = 2000 at beta = 0.01 is in PINNED_N; this keeps it honest.
+        assert population_rescales(ModelParams(n_atoms=2000, rabi=10.0))
+        assert not population_rescales(ModelParams(n_atoms=140, rabi=77.0))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 47, 60, 98, 140, 300, 600])
+    @pytest.mark.parametrize("gamma", [1.0, 2.5])
+    def test_liouvillian_rhs_matches_reference(self, n, gamma):
+        params = ModelParams(n_atoms=n, rabi=0.7 * n, gamma=gamma)
+        rng = np.random.default_rng(n)
+        rho = rng.normal(size=(n + 1, n + 1)) + 1j * rng.normal(size=(n + 1, n + 1))
+        # Signed zeros and exact zeros, where a sign could flip.
+        rho[::3, ::2] = 0.0
+        rho[1::4, ::3] = complex(-0.0, -0.0)
+        rho[:, -1] = complex(-0.0, 0.0)
+        state = DickeLadderState(n, rho)
+        got = liouvillian_rhs(state, params)
+        assert got.tobytes() == reference_liouvillian_rhs(state, params).tobytes()
+        real = rho.real.copy()
+        assert (_gauged_rhs(real, params).tobytes()
+                == reference_gauged_rhs(real, params).tobytes())
+
+    @pytest.mark.parametrize("n, rabi", [(1, 0.7), (2, 4.5), (7, 1.0), (24, 18.0),
+                                         (47, 30.0), (52, 13.0), (140, 80.0)])
+    def test_trajectory_observables_match_reference(self, n, rabi):
+        rng = np.random.default_rng(n)
+        rho = rng.random(size=(9, n + 1, n + 1)) + 1j * rng.normal(size=(9, n + 1, n + 1))
+        traj = LadderTrajectory(n, rho, np.trace(rho, axis1=1, axis2=2).real)
+        obs = observables(traj)
+        got = (obs.s_z, obs.n_e, obs.dipole, obs.gamma_sr, obs.g2_numerator)
+        for mine, ref in zip(got, reference_observables_of(traj)):
+            assert mine.tobytes() == ref.tobytes()
+        if n <= 52:
+            _, traj = evolve(DickeLadderState.ground(n), ModelParams(n_atoms=n, rabi=rabi),
+                             2.0, n_samples=11)
+            obs = observables(traj)
+            got = (obs.s_z, obs.n_e, obs.dipole, obs.gamma_sr, obs.g2_numerator)
+            for mine, ref in zip(got, reference_observables_of(traj)):
+                assert mine.tobytes() == ref.tobytes()
+
+    def test_one_allocation_holds_rho_and_its_scratch(self):
+        n = 140
+        state = steady_state(ModelParams(n_atoms=n, rabi=0.5 * 1.1 * n))
+        base = state.rho.base
+        while base.base is not None:
+            base = base.base
+        assert base.nbytes == 3 * (n + 1) ** 2 * 8
+        assert state.rho.flags.c_contiguous
+
+
+def owned_nbytes(arrays):
+    """Bytes of the distinct buffers that the arrays rest on."""
+    owners = {}
+    for array in arrays:
+        while array.base is not None:
+            array = array.base
+        owners[id(array)] = array.nbytes
+    return sum(owners.values())
+
+
+class TestLadderTables:
+    def test_one_entry_at_n_2000_is_small(self):
+        tables = _ladder(2000)
+        arrays = [getattr(tables, name) for name in tables.__dataclass_fields__]
+        assert owned_nbytes(arrays) < 256 * 1024
+        # Nothing (N+1)^2-sized: the phase views rest on 2N + 1 phases.
+        assert all(a.base is None or a.base.size < 2001**2 for a in arrays)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 60])
+    def test_tables_are_read_only(self, n):
+        tables = _ladder(n)
+        for name in tables.__dataclass_fields__:
+            assert not getattr(tables, name).flags.writeable, name
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 60, 301])
+    def test_values(self, n):
+        tables = _ladder(n)
+        a = reference_coupling(n)
+        assert tables.a.tobytes() == a.tobytes()
+        assert tables.am1.tobytes() == np.concatenate(([0.0], a[:-1])).tobytes()
+        drive, drain = reference_rates(ModelParams(n_atoms=n, rabi=1.3, gamma=2.5))
+        got_drive, got_drain = ddmsim.ladder._rates(ModelParams(n_atoms=n, rabi=1.3,
+                                                               gamma=2.5))
+        assert got_drive.tobytes() == drive.tobytes()
+        assert got_drain.tobytes() == drain.tobytes()  # +0.0 first
+        assert tables.gauge.tobytes() == reference_phases(n + 1).tobytes()
+        assert (tables.gauge_inverse.tobytes()
+                == reference_phases(n + 1, inverse=True).tobytes())
+
+
+def horner_taylor_polynomial(x):
+    """sum_{k<=14} x^k/k! in Horner's form (13 matrix products), as
+    `_propagate_dense` formed it before Paterson-Stockmeyer."""
+    p, tmp = x / 14, np.empty_like(x)
+    p.flat[:: x.shape[0] + 1] += 1.0
+    for k in range(13, 0, -1):
+        np.matmul(x, p, out=tmp)
+        tmp /= k
+        tmp.flat[:: x.shape[0] + 1] += 1.0
+        p, tmp = tmp, p
+    return p
+
+
+class CountedMatmul(np.ndarray):
+    """An array that counts the matrix products it takes part in."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            CountedMatmul.products += 1
+        inputs = [np.asarray(v) if isinstance(v, CountedMatmul) else v for v in inputs]
+        if "out" in kwargs:
+            kwargs["out"] = tuple(np.asarray(v) for v in kwargs["out"])
+        result = getattr(ufunc, method)(*inputs, **kwargs)
+        return result.view(CountedMatmul) if isinstance(result, np.ndarray) else result
+
+
+class TestTaylorPolynomial:
+    @pytest.mark.parametrize("n", range(1, 48))
+    @pytest.mark.parametrize("gamma", [1.0, 2.5])
+    def test_matches_horner_before_squaring(self, n, gamma):
+        # x as `_propagate_dense` scales it for a 161-sample trace to t = 8.
+        op = _sector_operator(ModelParams(n_atoms=n, rabi=0.75 * n * gamma, gamma=gamma))
+        dt = 8.0 / 160
+        norm = abs(op).sum(axis=0).max() * dt
+        squarings = int(np.ceil(np.log2(max(norm / 0.5, 1.0))))
+        x = op * (dt / 2.0**squarings)
+        assert abs(x).sum(axis=0).max() <= 0.5
+        ref = horner_taylor_polynomial(x)
+        got = ddmsim.ladder._taylor_polynomial(x)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    def test_seven_matrix_products(self):
+        x = np.random.default_rng(0).normal(size=(9, 9)) / 20
+        CountedMatmul.products = 0
+        got = ddmsim.ladder._taylor_polynomial(x.view(CountedMatmul))
+        assert CountedMatmul.products == 7
+        assert np.max(np.abs(np.asarray(got) - expm(x))) <= 1e-15
+
+    def test_holds_as_many_buffers_as_horner(self):
+        x = np.random.default_rng(1).normal(size=(200, 200)) / 400
+        for polynomial in (horner_taylor_polynomial, ddmsim.ladder._taylor_polynomial):
+            tracemalloc.start()
+            polynomial(x)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak <= 3 * x.nbytes + 65536, polynomial.__name__
+
+    def test_trace_matches_horner_propagator(self, monkeypatch):
+        n = 24
+        params = ModelParams(n_atoms=n, rabi=0.75 * n)
+        _, fast = evolve(DickeLadderState.ground(n), params, 8.0, n_samples=161)
+        monkeypatch.setattr(ddmsim.ladder, "_taylor_polynomial", horner_taylor_polynomial)
+        _, horner = evolve(DickeLadderState.ground(n), params, 8.0, n_samples=161)
+        assert np.max(np.abs(fast.rho - horner.rho)) <= 1e-13

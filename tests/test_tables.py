@@ -376,7 +376,7 @@ def reference_observables(state):
     """The observables of one state, from Python sums over its rho."""
     n = state.n_atoms
     s = n / 2.0
-    padded = np.concatenate(([0.0, 0.0], ddmsim.ladder._coupling_array(n)[:-1]))
+    padded = np.concatenate(([0.0, 0.0], ddmsim.ladder._ladder(n).a[:-1]))
     am2, am1 = padded[:-1], padded[1:]
     am1_sq = am1**2
     pops = state.rho.diagonal().real
