@@ -19,6 +19,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +49,7 @@ class UndefinedCorrelationError(ValueError):
 _PHASES = np.array([1, 1j, -1, -1j])
 
 
-@dataclass(frozen=True, eq=False)
-class _Ladder:
+class _Ladder(NamedTuple):
     """The read-only O(N) tables of one ladder size (`_ladder`).
 
     a[i] = A_{m = i - S} for i = 0..N, with a[N] = A_S = 0, and

@@ -25,11 +25,13 @@ class ModelParams:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if not _is_whole(self.n_atoms):
-            raise ValueError(f"n_atoms must be an integer, got {self.n_atoms!r}")
-        # A numpy integer becomes an int, so that index arithmetic on N
-        # cannot wrap around in a narrow integer type.
-        object.__setattr__(self, "n_atoms", int(self.n_atoms))
+        if type(self.n_atoms) is not int:
+            if (isinstance(self.n_atoms, bool)
+                    or not isinstance(self.n_atoms, numbers.Integral)):
+                raise ValueError(f"n_atoms must be an integer, got {self.n_atoms!r}")
+            # A numpy integer becomes an int, so that index arithmetic on
+            # N cannot wrap around in a narrow integer type.
+            object.__setattr__(self, "n_atoms", int(self.n_atoms))
         for name in ("rabi", "detuning", "gamma"):
             value = getattr(self, name)
             if not _is_real(value):
@@ -55,17 +57,8 @@ class ModelParams:
         return 2.0 * self.rabi / (self.n_atoms * self.gamma)
 
 
-# A bool is an int to Python, and True would pass as N = 1 or a drive of
-# 1.0, so both checks turn it away; the exact-type tests are the fast
-# path for the ints and floats that every caller passes.
-
-def _is_whole(value) -> bool:
-    """An int or a numpy integer, not a bool."""
-    return type(value) is int or (
-        not isinstance(value, bool) and isinstance(value, numbers.Integral))
-
-
 def _is_real(value) -> bool:
-    """A real number (int, float or numpy scalar), not a bool."""
+    """A real number (int, float or numpy scalar), not a bool: to Python
+    a bool is an int, and True would pass as a drive of 1.0."""
     return type(value) is float or type(value) is int or (
         not isinstance(value, bool) and isinstance(value, numbers.Real))

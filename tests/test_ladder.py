@@ -1117,7 +1117,7 @@ def owned_nbytes(arrays):
 class TestLadderTables:
     def test_one_entry_at_n_2000_is_small(self):
         tables = _ladder(2000)
-        arrays = [getattr(tables, name) for name in tables.__dataclass_fields__]
+        arrays = [getattr(tables, name) for name in tables._fields]
         assert owned_nbytes(arrays) < 256 * 1024
         # Nothing (N+1)^2-sized: the phase views rest on 2N + 1 phases.
         assert all(a.base is None or a.base.size < 2001**2 for a in arrays)
@@ -1125,7 +1125,7 @@ class TestLadderTables:
     @pytest.mark.parametrize("n", [1, 2, 7, 60])
     def test_tables_are_read_only(self, n):
         tables = _ladder(n)
-        for name in tables.__dataclass_fields__:
+        for name in tables._fields:
             assert not getattr(tables, name).flags.writeable, name
 
     @pytest.mark.parametrize("n", [1, 2, 7, 60, 301])
