@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ddmsim.params import ModelParams
+from ddmsim.params import ModelParams, _atom_number
 
 # scipy is imported inside the functions that call it, so that importing
 # this module (and the CLI, and every subcommand that never propagates a
@@ -117,6 +117,7 @@ class DickeLadderState:
     residual: float | None = None
 
     def __post_init__(self):
+        self.n_atoms = _atom_number(self.n_atoms)
         if self.n_atoms < 1:
             raise ValueError(f"n_atoms must be >= 1, got {self.n_atoms}")
         dim = self.n_atoms + 1
@@ -450,6 +451,31 @@ def _gauge(dim: int, inverse: bool = False) -> np.ndarray:
     return tables.gauge_inverse if inverse else tables.gauge
 
 
+def _steady_populations(a: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The populations p of `_resonant_steady_rho`, one row per ratio
+    r = rabi/gamma: p_l ~ d_l = 1 + (a_l/r)^2 d_{l+1} from d_N = 1, in
+    Python floats. A row's tail and its constant term are rescaled
+    together as they grow, so nothing overflows at weak drive and large N.
+    """
+    rows = []
+    for qs in ((a / r[:, None]) ** 2)[:, ::-1].tolist():
+        d, one = [1.0], 1.0
+        append = d.append
+        last = 1.0
+        for q in qs:
+            last = one + q * last
+            append(last)
+            if last > 1e150:
+                d = [v / last for v in d]
+                append = d.append
+                one /= last
+                last = d[-1]
+        rows.append(d[::-1])
+    pops = np.array(rows)
+    pops /= np.add.reduce(pops, -1, keepdims=True)
+    return pops
+
+
 # Columns per block of the cumulative product in `_resonant_steady_rho`:
 # a block of columns up to l runs its product over rows 0..l only.
 _CHAIN_BLOCK = 64
@@ -460,12 +486,11 @@ def _resonant_steady_rho(params: ModelParams, work: np.ndarray) -> np.ndarray:
     in the gauge: the real symmetric R_{m,m'} = i^{m-m'} rho_{m,m'}.
 
     g = i*rabi/gamma (Puri & Lawande, Phys. Lett. A 72, 200 (1979);
-    Carmichael, J. Phys. B 13, 3551 (1980)). With r = rabi/gamma the
-    populations p obey d_l = 1 + (A_l/r)^2 d_{l+1} from d_N = 1, and the
-    gauged state is real, positive and semiseparable: above the diagonal
+    Carmichael, J. Phys. B 13, 3551 (1980)). With r = rabi/gamma and the
+    populations p of `_steady_populations`, the gauged state is real,
+    positive and semiseparable: above the diagonal
     R[j, l] = p_l prod_{k=j}^{l-1} A_k/r, the product taken from k = l - 1
-    down. The populations are rescaled as they grow, so nothing
-    overflows at weak drive and large N.
+    down.
 
     The products are built as chains, row k of column l holding
     R[l - k, l], so that every chain starts in row 0 with p_l and the
@@ -481,20 +506,7 @@ def _resonant_steady_rho(params: ModelParams, work: np.ndarray) -> np.ndarray:
     dim = n + 1
     a = _ladder(n).a[:-1]
     r = params.rabi / params.gamma
-    d, one = [1.0], 1.0
-    append = d.append
-    last = 1.0
-    for q in ((a / r) ** 2)[::-1].tolist():
-        last = one + q * last
-        append(last)
-        if last > 1e150:
-            # Rescale the tail and the constant term together.
-            d = [v / last for v in d]
-            append = d.append
-            one /= last
-            last = d[-1]
-    pops = np.array(d[::-1])
-    pops /= np.add.reduce(pops)
+    pops = _steady_populations(a, np.array([r]))[0]
 
     # steps[n + l - k] is the k-th factor of chain l, A_{l-k}/r, and ones
     # pad the rows past the chain's end. A_k/r is taken as A_k * (1/r),
@@ -528,7 +540,11 @@ def _resonant_steady_rho(params: ModelParams, work: np.ndarray) -> np.ndarray:
     return gauged
 
 
-def steady_state(params: ModelParams, resid_tol: float = 1e-10) -> DickeLadderState:
+# A steady residual, or an O(N) row's |sum p - 1|, above this fails.
+_RESID_TOL = 1e-10
+
+
+def steady_state(params: ModelParams, resid_tol: float = _RESID_TOL) -> DickeLadderState:
     """Exact steady state of the master equation.
 
     The closed form of `_resonant_steady_rho`, built and checked in the
@@ -573,10 +589,9 @@ def steady_state(params: ModelParams, resid_tol: float = 1e-10) -> DickeLadderSt
     return state
 
 
-def _weighted_sums(weights: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """sum_m w_k[m] rho_{m,m} for each row w_k of weights: one row of
-    sums per weight, over the samples of a stack of rho."""
-    pops = rho.diagonal(0, -2, -1).real
+def _weighted_sums(weights: np.ndarray, pops: np.ndarray) -> np.ndarray:
+    """sum_m w_k[m] p_m for each row w_k of weights: one row of sums per
+    weight, over the rows of a stack of populations p."""
     if pops.ndim > 1:
         weights = weights[:, None, :]
     return np.add.reduce(weights * pops, -1)
@@ -593,7 +608,8 @@ def observables(state) -> ObservableSet:
     """
     n = state.n_atoms
     tables = _ladder(n)
-    m_sum, spsm, g2_num = _weighted_sums(tables.weights, state.rho)
+    pops = state.rho.diagonal(0, -2, -1).real
+    m_sum, spsm, g2_num = _weighted_sums(tables.weights, pops)
     s_z = m_sum / (n / 2.0)
     # <S-> = sum_m A_{m-1} rho_{m,m-1}
     dipole = np.add.reduce(tables.a[:-1] * state.rho.diagonal(-1, -2, -1), -1)
@@ -609,13 +625,84 @@ def observables(state) -> ObservableSet:
     )
 
 
+_G2_MIN_RATE = 1e-14  # <S+S-> below which g2(0) is undefined
+
+
 def g2_zero(state: DickeLadderState) -> float:
     """Equal-time intensity correlation <S+S+S-S-> / <S+S->^2."""
     # <S+S-> and <S+S+S-S->
     spsm, g2_num = _weighted_sums(_ladder(state.n_atoms).weights[1:],
-                                  state.rho).tolist()
-    if spsm < 1e-14:
+                                  state.rho.diagonal().real).tolist()
+    if spsm < _G2_MIN_RATE:
         raise UndefinedCorrelationError(
             f"<S+S-> = {spsm:.3e} too small to define g2(0)"
         )
     return g2_num / spsm**2
+
+
+def steady_columns(group: Sequence[ModelParams]):
+    """(columns, faults) of the steady states of params of one N, in O(N)
+    each: every observable reads only p and R[l, l+1] = p_{l+1} A_l/r of
+    the closed form (`_resonant_steady_rho`), summed as `observables` and
+    `g2_zero` sum it, so it has the bits of `steady_state`'s. columns maps
+    s_z, n_e, re_dipole, im_dipole, gamma_sr, g2 (nan where undefined) and
+    residual (`_band_residual`) to arrays over the group; faults maps the
+    index of each state whose residual or |sum p - 1| exceeds _RESID_TOL
+    to why.
+    """
+    n = group[0].n_atoms
+    if any(p.n_atoms != n or p.detuning != 0.0 for p in group):
+        raise ValueError("steady_columns takes resonant params of one N")
+    a = _ladder(n).a[:-1]
+    rabi, gamma = np.array([(p.rabi, p.gamma) for p in group]).T
+    # The undriven ground state is dark: p = (1, 0, ...), and 1/r = 0
+    # clears R off the diagonal.
+    ground = rabi == 0.0
+    r = np.where(ground, np.inf, rabi / gamma)
+    pops = _steady_populations(a, r)
+    pops[ground] = np.arange(n + 1) == 0
+    steps = a * (1.0 / r)[:, None]  # A_l/r, as the chains take it
+    m_sum, spsm, g2_num = _weighted_sums(_ladder(n).weights, pops)
+    s_z = m_sum / (n / 2.0)
+    # <S-> = sum_l A_l rho_{l+1,l}, rho_{l+1,l} = -i R[l, l+1], summed as
+    # the complex numbers that `observables` sums.
+    terms = np.zeros((len(group), n), complex)
+    np.subtract(0.0, a * (pops[:, 1:] * steps), out=terms.imag)
+    dipole = np.add.reduce(terms, -1)
+    # In Python floats, as `g2_zero` takes it: x**2 is then libm's pow,
+    # which can round differently from numpy's x*x.
+    g2 = [num / rate**2 if rate >= _G2_MIN_RATE else math.nan
+          for rate, num in zip(spsm.tolist(), g2_num.tolist())]
+    residual = _band_residual(group, pops, steps)
+    drift = np.abs(np.add.reduce(pops, -1) - 1.0)
+    tol = _RESID_TOL
+    faults = {k: f"steady-state residual {res:.3e} exceeds {tol:.1e}" if not res <= tol
+              else f"steady-state trace is off by {off:.3e}"
+              for k, (res, off) in enumerate(zip(residual.tolist(), drift.tolist()))
+              if not (res <= tol and off <= tol)}
+    return {"s_z": s_z, "n_e": 0.5 * (s_z + 1.0), "re_dipole": dipole.real,
+            "im_dipole": dipole.imag, "gamma_sr": spsm, "g2": np.array(g2),
+            "residual": residual}, faults
+
+
+def _band_residual(group: Sequence[ModelParams], pops: np.ndarray,
+                   steps: np.ndarray) -> np.ndarray:
+    """max |L R| over the diagonal and the first off-diagonal, for each R
+    given by a row of p (pops) and A_l/r (steps) and a params of group:
+    the stencil of `_gauged_rhs` there, which reads diagonals 0-2 of R."""
+    drive, drain = map(np.array, zip(*map(_rates, group)))
+    gamma = np.array([p.gamma for p in group])[:, None]
+    a = _ladder(group[0].n_atoms).a
+    d1 = pops[:, 1:] * steps  # R[l, l+1]
+    d2 = d1[:, 1:] * steps[:, :-1]  # R[l, l+2]
+    diag = 2.0 * drain * pops
+    diag[:, :-1] += gamma * a[:-1] ** 2 * pops[:, 1:]
+    flow = 2.0 * drive[:, :-1] * d1
+    diag[:, :-1] -= flow
+    diag[:, 1:] += flow
+    off = (drain[:, :-1] + drain[:, 1:]) * d1
+    off[:, :-1] += gamma * (a[:-2] * a[1:-1]) * d1[:, 1:]
+    off += drive[:, :-1] * (pops[:, :-1] - pops[:, 1:])
+    off[:, :-1] -= drive[:, 1:-1] * d2
+    off[:, 1:] += drive[:, :-2] * d2
+    return np.maximum(np.abs(diag).max(-1), np.abs(off).max(-1))

@@ -26,12 +26,7 @@ class ModelParams:
 
     def __post_init__(self):
         if type(self.n_atoms) is not int:
-            if (isinstance(self.n_atoms, bool)
-                    or not isinstance(self.n_atoms, numbers.Integral)):
-                raise ValueError(f"n_atoms must be an integer, got {self.n_atoms!r}")
-            # A numpy integer becomes an int, so that index arithmetic on
-            # N cannot wrap around in a narrow integer type.
-            object.__setattr__(self, "n_atoms", int(self.n_atoms))
+            object.__setattr__(self, "n_atoms", _atom_number(self.n_atoms))
         for name in ("rabi", "detuning", "gamma"):
             value = getattr(self, name)
             if not _is_real(value):
@@ -55,6 +50,14 @@ class ModelParams:
     def beta(self) -> float:
         """Drive-to-collective-dissipation ratio 2*rabi/(N*gamma)."""
         return 2.0 * self.rabi / (self.n_atoms * self.gamma)
+
+
+def _atom_number(value) -> int:
+    """value as an int (a numpy integer's index arithmetic could wrap
+    around); a ValueError unless it is an integer other than a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"n_atoms must be an integer, got {value!r}")
+    return int(value)
 
 
 def _is_real(value) -> bool:

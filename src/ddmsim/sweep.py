@@ -16,19 +16,22 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, product, repeat
 
 import numpy as np
 
 from ddmsim import __version__
 from ddmsim.params import ModelParams
+# liouvillian_rhs, steady_state and g2_zero are unused here; they are
+# traced under these names by bench/spans.py and bench/gate.py.
 from ddmsim.ladder import (
     DickeLadderState,
-    UndefinedCorrelationError,
     evolve,
     g2_zero,
-    liouvillian_rhs,  # unused here; traced under this name by bench/spans.py
+    liouvillian_rhs,
     observables,
+    steady_columns,
     steady_state,
 )
 from ddmsim.meanfield import _elementwise, _screening_residual, solve_x
@@ -161,29 +164,37 @@ def _dynamics_rows(point, tol, settings):
     } for t, n_e, s_z, re, im, gamma_sr, residual in columns]
 
 
-def _steady_rows(point, *_):
-    n, rabi = int(point["n_atoms"]), float(point["rabi"])
-    params = ModelParams(n_atoms=n, rabi=rabi)
-    state = steady_state(params)
-    obs = observables(state)
-    try:
-        g2 = g2_zero(state)
-    except UndefinedCorrelationError:
-        g2 = float("nan")
-    return [{
-        "n_atoms": n, "rabi": rabi, "beta": params.beta,
-        "s_z": obs.s_z, "n_e": obs.n_e,
-        "re_dipole": obs.dipole.real, "im_dipole": obs.dipole.imag,
-        "gamma_sr": obs.gamma_sr, "g2": g2,
-        "residual": state.residual, "status": "ok",
-    }]
-
-
-def _phase_rows(point, *_):
-    n, beta = int(point["n_atoms"]), float(point["beta"])
-    (row,) = _steady_rows({"n_atoms": n, "rabi": 0.5 * beta * n})
-    row["beta"] = beta
-    return [row]
+def _steady_rows(chunk, *_, drive="rabi"):
+    """The rows of a chunk of (n_atoms, drive) points, drive being rabi or,
+    in the phase diagram, beta (rabi = beta N/2). Points are checked
+    through ModelParams one by one and solved by `steady_columns`, one
+    call per N; a point failing either is an error row with the text it
+    raised when solved on its own."""
+    names, rows, groups = ("n_atoms", drive), [], {}
+    for k, point in enumerate(chunk):
+        try:
+            n, value = int(point[0]), float(point[1])
+            rabi = 0.5 * value * n if drive == "beta" else value
+            params = ModelParams(n_atoms=n, rabi=rabi)
+        except Exception as exc:
+            rows.append(_error_row(dict(zip(names, point)), exc))
+            continue
+        groups.setdefault(params.n_atoms, []).append((k, params))
+        rows.append(None)
+    for members in groups.values():
+        index, group = zip(*members)
+        try:
+            columns, faults = steady_columns(group)
+        except Exception as exc:  # an N too large for its O(N) tables
+            columns, faults = {}, dict.fromkeys(range(len(group)), exc)
+        cells = zip(*(column.tolist() for column in columns.values()))
+        for k, params, values in zip(index, group, cells):
+            beta = float(chunk[k][1]) if drive == "beta" else params.beta
+            rows[k] = {"n_atoms": params.n_atoms, "rabi": params.rabi, "beta": beta,
+                       **dict(zip(columns, values)), "status": "ok"}
+        for j, error in faults.items():
+            rows[index[j]] = _error_row(dict(zip(names, chunk[index[j]])), error)
+    return rows
 
 
 def _finite(row):
@@ -276,9 +287,11 @@ SWEEP_MODES = {
         ("t", "n_e", "s_z", "re_dipole", "im_dipole", "gamma_sr"),
         True, ("tol", "t_final", "n_samples"), _dynamics_rows),
     "steady_state": SweepMode("steady", ("n_atoms", "rabi"),
-                              ("beta",) + _STEADY_COLUMNS, True, (), _steady_rows),
+                              ("beta",) + _STEADY_COLUMNS, True, (), _steady_rows,
+                              batched=True),
     "phase_diagram": SweepMode("phase-diagram", ("n_atoms", "beta"),
-                               ("rabi",) + _STEADY_COLUMNS, True, (), _phase_rows),
+                               ("rabi",) + _STEADY_COLUMNS, True, (),
+                               partial(_steady_rows, drive="beta"), batched=True),
     "screening_curve": SweepMode("screening", ("n_atoms", "beta"),
                                  ("x", "x_asymptote"), False, (), _screening_rows,
                                  batched=True),

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,7 @@ from ddmsim.ladder import (
     g2_zero,
     liouvillian_rhs,
     observables,
+    steady_columns,
     steady_state,
 )
 from ddmsim.analysis import obe_excited_population
@@ -176,6 +178,21 @@ class TestDickeLadderState:
     def test_rejects_rho_of_another_shape(self, shape):
         with pytest.raises(ValueError, match="incompatible with N = 3"):
             DickeLadderState(3, np.zeros(shape))
+
+    @pytest.mark.parametrize("n_atoms", [True, False, np.True_, 2.5, 3.0, "3", None])
+    def test_rejects_atom_number_that_is_not_an_integer(self, n_atoms):
+        # True used to build an N = 1 state, and 2.5 to raise a TypeError.
+        with pytest.raises(ValueError, match="n_atoms must be an integer") as got:
+            DickeLadderState(n_atoms)
+        with pytest.raises(ValueError) as want:
+            ModelParams(n_atoms=n_atoms, rabi=1.0)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("n_atoms", [np.int64(3), np.int32(3), np.uint8(3)])
+    def test_numpy_integer_atom_number_is_an_int(self, n_atoms):
+        for state in (DickeLadderState(n_atoms), DickeLadderState.ground(n_atoms)):
+            assert type(state.n_atoms) is int and state.n_atoms == 3
+            assert state.rho.shape == (4, 4)
 
 
 class TestRates:
@@ -1210,3 +1227,140 @@ class TestTaylorPolynomial:
         monkeypatch.setattr(ddmsim.ladder, "_taylor_polynomial", horner_taylor_polynomial)
         _, horner = evolve(DickeLadderState.ground(n), params, 8.0, n_samples=161)
         assert np.max(np.abs(fast.rho - horner.rho)) <= 1e-13
+
+
+def band_of(rhs):
+    """max |rhs| over the diagonal and the first off-diagonal."""
+    return max(np.abs(np.diagonal(rhs)).max(), np.abs(np.diagonal(rhs, 1)).max())
+
+
+def column_inputs(params):
+    """p and A_l/r of one params, each as a one-row stack, as
+    `steady_columns` forms them."""
+    a = _ladder(params.n_atoms).a[:-1]
+    r = params.rabi / params.gamma
+    return ddmsim.ladder._steady_populations(a, np.array([r])), (a * (1.0 / r))[None]
+
+
+def bits(value):
+    return np.float64(value).tobytes()
+
+
+# The observable columns of `steady_columns`, in row order.
+COLUMN_NAMES = ("s_z", "n_e", "re_dipole", "im_dipole", "gamma_sr", "g2")
+
+
+class TestSteadyColumns:
+    """The O(N) steady observables against the full closed-form state."""
+
+    @pytest.mark.parametrize("n", PINNED_N)
+    def test_match_steady_state_bit_for_bit(self, n):
+        group = pinned_params(n)
+        cols, faults = steady_columns(group)
+        assert faults == {}
+        eps = np.finfo(float).eps
+        for k, params in enumerate(group):
+            state = steady_state(params)
+            obs = observables(state)
+            assert [bits(cols[name][k]) for name in COLUMN_NAMES] == [
+                bits(v) for v in (obs.s_z, obs.n_e, obs.dipole.real, obs.dipole.imag,
+                                  obs.gamma_sr, g2_zero(state))], params
+            # The band check against the full stencil: both are round-off
+            # of terms no larger than about S(S+1) max p.
+            work = np.empty(3 * (n + 1) ** 2)
+            gauged = ddmsim.ladder._resonant_steady_rho(params, work)
+            rhs = _gauged_rhs(gauged.copy(), params, symmetric=True)
+            scale = 0.25 * n * (n + 2) * gauged.diagonal().max()
+            assert abs(cols["residual"][k] - band_of(rhs)) <= 128 * eps * scale, params
+            assert cols["residual"][k] <= 1e-10 and state.residual <= 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 140])
+    def test_dark_ground_state(self, n):
+        params = ModelParams(n_atoms=n, rabi=0.0)
+        cols, faults = steady_columns([params, ModelParams(n_atoms=n, rabi=1.0)])
+        obs = observables(steady_state(params))
+        assert [bits(cols[name][0]) for name in COLUMN_NAMES[:-1] + ("residual",)] == [
+            bits(v) for v in (obs.s_z, obs.n_e, obs.dipole.real, obs.dipole.imag,
+                              obs.gamma_sr, 0.0)]
+        assert (cols["s_z"][0], cols["n_e"][0]) == (-1.0, 0.0)
+        assert math.isnan(cols["g2"][0]) and faults == {}
+
+    def test_weak_drive_at_n_2000_takes_the_rescale(self):
+        params = ModelParams(n_atoms=2000, rabi=10.0)  # beta = 0.01
+        assert population_rescales(params)
+        cols, faults = steady_columns([params])
+        state = steady_state(params)
+        assert faults == {} and cols["residual"][0] <= 1e-10
+        assert bits(cols["s_z"][0]) == bits(observables(state).s_z)
+        assert bits(cols["g2"][0]) == bits(g2_zero(state))
+
+    def test_populations_do_not_depend_on_their_batch(self):
+        a = _ladder(300).a[:-1]
+        r = np.array([0.5, 1.5, 150.0, 1e-3, 3e4])
+        pops = ddmsim.ladder._steady_populations(a, r)
+        for k in range(r.size):
+            alone = ddmsim.ladder._steady_populations(a, r[k:k + 1])[0]
+            assert pops[k].tobytes() == alone.tobytes()
+        params = ModelParams(n_atoms=300, rabi=1.5)
+        gauged = ddmsim.ladder._resonant_steady_rho(params, np.empty(3 * 301**2))
+        assert gauged.diagonal().tobytes() == pops[1].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 60, 333])
+    @pytest.mark.parametrize("gamma", [1.0, 2.5])
+    def test_band_residual_is_the_stencil_on_its_band(self, monkeypatch, n, gamma):
+        # Away from the steady state L R is of order one, so the band
+        # check must agree with the full stencil to round-off.
+        populations = ddmsim.ladder._steady_populations
+        rng = np.random.default_rng(n)
+
+        def shaken(a, r):
+            return populations(a, r) * (1.0 + 1e-3 * rng.random(a.size + 1))
+
+        monkeypatch.setattr(ddmsim.ladder, "_steady_populations", shaken)
+        for beta in (0.3, 1.0, 2.75):
+            params = ModelParams(n_atoms=n, rabi=0.5 * beta * n * gamma, gamma=gamma)
+            gauged = ddmsim.ladder._resonant_steady_rho(params, np.empty(3 * (n + 1) ** 2))
+            want = band_of(_gauged_rhs(gauged.copy(), params, symmetric=True))
+            a = _ladder(n).a[:-1]
+            steps = (a * (1.0 / (params.rabi / gamma)))[None]
+            got = ddmsim.ladder._band_residual([params], gauged.diagonal()[None], steps)
+            assert got[0] == pytest.approx(want, rel=1e-12)
+            assert want > 1e-6
+
+    @pytest.mark.parametrize("n, beta", [(1, 0.5), (2, 2.0), (10, 0.01), (10, 1.0),
+                                         (47, 0.3), (140, 2.75), (600, 1.1), (2000, 0.01),
+                                         (2000, 100.0)])
+    @pytest.mark.parametrize("where", ["p", "step"])
+    def test_mutation_fails_the_band_check(self, n, beta, where):
+        # One p_l or one A_l/r off by 1e-8 relative: the check must see it.
+        params = ModelParams(n_atoms=n, rabi=0.5 * beta * n)
+        pops, steps = column_inputs(params)
+        assert ddmsim.ladder._band_residual([params], pops, steps)[0] <= 1e-10
+        a = _ladder(n).a[:-1]
+        if where == "p":
+            pops[0, np.argmax(pops[0])] *= 1.0 + 1e-8
+        else:
+            steps[0, np.argmax(a**2 * pops[0, 1:])] *= 1.0 + 1e-8
+        assert ddmsim.ladder._band_residual([params], pops, steps)[0] > 1e-10
+
+    def test_faults_name_the_failed_check(self, monkeypatch):
+        populations = ddmsim.ladder._steady_populations
+        group = [ModelParams(n_atoms=40, rabi=r) for r in (5.0, 20.0, 60.0)]
+
+        def broken(a, r):
+            pops = populations(a, r)
+            pops[0, 3] *= 1.0 + 1e-6  # the first state's band check fails
+            pops[2] *= 1.0 + 1e-9  # the third's trace is off, not its band
+            return pops
+
+        monkeypatch.setattr(ddmsim.ladder, "_steady_populations", broken)
+        _, faults = steady_columns(group)
+        assert sorted(faults) == [0, 2]
+        assert re.fullmatch(r"steady-state residual \S+ exceeds 1\.0e-10", faults[0])
+        assert re.fullmatch(r"steady-state trace is off by 1\.000e-09", faults[2])
+
+    def test_rejects_a_mixed_or_detuned_group(self):
+        for group in ([ModelParams(n_atoms=3, rabi=1.0), ModelParams(n_atoms=4, rabi=1.0)],
+                      [ModelParams(n_atoms=3, rabi=1.0, detuning=0.5)]):
+            with pytest.raises(ValueError, match="resonant params of one N"):
+                steady_columns(group)

@@ -270,15 +270,20 @@ class TestSteadyWindowAverage:
 class TestSteadyResidual:
     @pytest.fixture
     def rhs_calls(self, monkeypatch):
-        # Every residual goes through the one real stencil in the gauge.
+        # Every row's residual is the band check of its N's group; no
+        # row applies the full (N+1)^2 stencil.
         calls = []
-        stencil = ddmsim.ladder._gauged_rhs
+        band, stencil = ddmsim.ladder._band_residual, ddmsim.ladder._gauged_rhs
 
-        def counted(x, params, **kwargs):
-            calls.append(params.n_atoms)
-            return stencil(x, params, **kwargs)
+        def counted(group, *args):
+            calls.append(group[0].n_atoms)
+            return band(group, *args)
 
-        monkeypatch.setattr(ddmsim.ladder, "_gauged_rhs", counted)
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a steady row applied the full stencil")
+
+        monkeypatch.setattr(ddmsim.ladder, "_band_residual", counted)
+        monkeypatch.setattr(ddmsim.ladder, "_gauged_rhs", unexpected)
         return calls
 
     @pytest.mark.parametrize("mode, grids", [
@@ -291,13 +296,20 @@ class TestSteadyResidual:
         assert len(rhs_calls) == 1
 
     @pytest.mark.parametrize("n, rabi", [(4, 0.0), (6, 1.5), (40, 40.0), (500, 275.0)])
-    def test_residual_column_unchanged(self, n, rabi):
+    def test_residual_column_is_the_band_residual(self, n, rabi):
+        # max |L rho| over the diagonal and the first off-diagonal, the
+        # entries that the row's observables read.
         row = run(make_spec(grids={"n_atoms": [n], "rabi": [rabi]})).rows[0]
         params = ModelParams(n_atoms=n, rabi=rabi)
         state = steady_state(params)
-        assert row["residual"] == float(
-            np.max(np.abs(liouvillian_rhs(state, params)))
-        )
+        rhs = liouvillian_rhs(state, params)
+        band = max(np.abs(np.diagonal(rhs)).max(), np.abs(np.diagonal(rhs, 1)).max())
+        assert row["residual"] == ddmsim.ladder.steady_columns([params])[0]["residual"][0]
+        # Both are round-off of the same terms, the largest of which is
+        # about S(S+1) max p.
+        scale = 0.25 * n * (n + 2) * state.rho.diagonal().real.max()
+        assert abs(row["residual"] - band) <= 128 * np.finfo(float).eps * scale
+        assert row["residual"] <= 1e-10
 
 
 class TestErrorRows:
@@ -365,17 +377,19 @@ class TestLayerRouting:
     """Each mode reaches its layers through the `ddmsim.sweep` names, which
     is where the benchmark's tracer and correctness gate wrap them."""
 
-    LAYERS = ("steady_state", "evolve", "observables", "g2_zero", "solve_x",
-              "cooperativity_mu")
+    LAYERS = ("steady_state", "steady_columns", "evolve", "observables", "g2_zero",
+              "solve_x", "cooperativity_mu")
 
     @pytest.mark.parametrize("doc, reached", [
         ({"mode": "dynamics", "grids": {"n_atoms": [2], "rabi": [1.0]},
           "settings": {"t_final": 1.0, "n_samples": 3}},
          {"evolve": 1, "observables": 1}),
+        # The steady modes take each N's rows in one batched call, which
+        # builds no state and calls none of the per-state layers.
         ({"mode": "steady_state", "grids": {"n_atoms": [2], "rabi": [1.0]}},
-         {"steady_state": 1, "observables": 1, "g2_zero": 1}),
+         {"steady_columns": 1}),
         ({"mode": "phase_diagram", "grids": {"n_atoms": [2], "beta": [1.5]}},
-         {"steady_state": 1, "observables": 1, "g2_zero": 1}),
+         {"steady_columns": 1}),
         ({"mode": "screening_curve", "grids": {"n_atoms": [20], "beta": [0.5]}},
          {"solve_x": 1}),
         ({"mode": "cooperativity", "grids": {"ell_ax": [2.0], "ell_rad": [0.5]}},

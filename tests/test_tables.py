@@ -8,6 +8,7 @@ same columns read back, the same rows and error texts.
 
 import csv
 import io
+import itertools
 import json
 import math
 
@@ -425,3 +426,143 @@ class TestTrajectoryObservables:
     def test_g2_zero_of_dark_state_raises(self):
         with pytest.raises(UndefinedCorrelationError):
             g2_zero(DickeLadderState.ground(4))
+
+
+# --- steady rows ----------------------------------------------------------
+
+def reference_steady_rows(point, *_):
+    """The row of one (n_atoms, rabi) point from its full steady state,
+    as `steady` built it point by point; residual is the full max |L rho|."""
+    n, rabi = int(point["n_atoms"]), float(point["rabi"])
+    params = ModelParams(n_atoms=n, rabi=rabi)
+    state = steady_state(params)
+    obs = observables(state)
+    try:
+        g2 = g2_zero(state)
+    except UndefinedCorrelationError:
+        g2 = float("nan")
+    return [{
+        "n_atoms": n, "rabi": rabi, "beta": params.beta,
+        "s_z": obs.s_z, "n_e": obs.n_e,
+        "re_dipole": obs.dipole.real, "im_dipole": obs.dipole.imag,
+        "gamma_sr": obs.gamma_sr, "g2": g2,
+        "residual": state.residual, "status": "ok",
+    }]
+
+
+def reference_phase_rows(point, *_):
+    n, beta = int(point["n_atoms"]), float(point["beta"])
+    (row,) = reference_steady_rows({"n_atoms": n, "rabi": 0.5 * beta * n})
+    row["beta"] = beta
+    return [row]
+
+
+def reference_point_rows(mode, grids):
+    """The rows of a steady or phase-diagram grid, point by point, with
+    the error row each failing point made."""
+    names = ("n_atoms", "rabi" if mode == "steady_state" else "beta")
+    build = reference_steady_rows if mode == "steady_state" else reference_phase_rows
+    rows = []
+    for combo in itertools.product(*(grids[name] for name in names)):
+        point = dict(zip(names, combo))
+        try:
+            rows += build(point)
+        except Exception as exc:
+            rows.append(ddmsim.sweep._error_row(point, exc))
+    return rows
+
+
+def without_residual(row):
+    """The row with its cells as bytes (nan equal to nan, -0.0 apart from
+    0.0) and its residual dropped: the steady rows' residual is the band
+    check, no longer the full one."""
+    return {k: (np.float64(v).tobytes() if isinstance(v, float) else v)
+            for k, v in row.items() if k != "residual"}
+
+
+WIDE_BETAS = [*np.geomspace(0.01, 100.0, 13).tolist(), 1.0, 1.1, 2.75]
+
+
+class TestSteadyRows:
+    """The batched O(N) steady rows against the full state of each point."""
+
+    @pytest.mark.parametrize("n_values", [list(range(1, 36)), list(range(36, 71)),
+                                          list(range(71, 106)), list(range(106, 141)),
+                                          [600], [2000]])
+    def test_phase_rows_match_point_by_point(self, n_values):
+        grids = {"n_atoms": n_values, "beta": WIDE_BETAS}
+        rows = run(SweepSpec.from_dict({"mode": "phase_diagram", "grids": grids})).rows
+        want = reference_point_rows("phase_diagram", grids)
+        assert list(map(without_residual, rows)) == list(map(without_residual, want))
+        assert all(r["status"] == "ok" and 0.0 <= r["residual"] <= 1e-10 for r in rows)
+
+    def test_steady_rows_match_point_by_point(self):
+        grids = {"n_atoms": [1, 2, 3, 10, 47, 140, 600],
+                 "rabi": [0.0, 1e-3, 0.1, 0.5, 1.0, 7.0, 70.0, 1e3, 1e5]}
+        rows = run(SweepSpec.from_dict({"mode": "steady_state", "grids": grids})).rows
+        want = reference_point_rows("steady_state", grids)
+        assert list(map(without_residual, rows)) == list(map(without_residual, want))
+
+    @pytest.mark.parametrize("mode, grids", [
+        ("phase_diagram", {"n_atoms": [0, 1, 4, 140, 2000],
+                           "beta": [math.nan, math.inf, -1.0, 0.0, 1e-300, 1e300, 0.5]}),
+        ("steady_state", {"n_atoms": [0, 4, 600, 2000],
+                          "rabi": [0.0, math.nan, math.inf, -1.0, 1e-300, 1e300, 2.0]}),
+    ])
+    def test_invalid_points_carry_their_texts(self, monkeypatch, mode, grids):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        spec = SweepSpec.from_dict({"mode": mode, "grids": grids})
+        want = list(map(without_residual, reference_point_rows(mode, grids)))
+        assert sum(r["status"] != "ok" for r in want) >= 19
+        for threads in (1, 2):
+            result = run(spec, threads=threads)
+            assert list(map(without_residual, result.rows)) == want
+        assert format_csv(result) == format_csv(run(spec))
+
+    def test_dark_ground_state_row(self):
+        (row,) = run(SweepSpec.from_dict({"mode": "steady_state",
+                                          "grids": {"n_atoms": [7], "rabi": [0.0]}})).rows
+        assert (row["s_z"], row["n_e"], row["gamma_sr"], row["residual"]) == (-1.0, 0.0, 0.0, 0.0)
+        assert math.isnan(row["g2"])
+        assert [np.float64(row[k]).tobytes() for k in ("re_dipole", "im_dipole")] == [
+            np.float64(0.0).tobytes()] * 2
+
+    def test_a_row_does_not_depend_on_its_batch(self, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        n_values, betas = [31, 3, 140, 3, 10, 2000], [2.75, 0.5, 0.01, 1.0]
+
+        def lines(n_values, betas, threads=1):
+            spec = SweepSpec.from_dict({"mode": "phase_diagram",
+                                        "grids": {"n_atoms": n_values, "beta": betas}})
+            return format_csv(run(spec, threads=threads)).splitlines()[2:]
+
+        whole = lines(n_values, betas)
+        alone = [line for n in n_values for b in betas for line in lines([n], [b])]
+        assert whole == alone
+        assert whole == lines(n_values, betas, threads=2)
+        ordered = dict(zip(itertools.product(n_values, betas), whole))
+        by_n = lines(sorted(set(n_values)), betas)
+        assert by_n == [ordered[n, b] for n in sorted(set(n_values)) for b in betas]
+
+    def test_one_layer_call_per_n(self, monkeypatch):
+        calls = []
+        columns = ddmsim.sweep.steady_columns
+
+        def counted(group):
+            calls.append([p.n_atoms for p in group])
+            return columns(group)
+
+        monkeypatch.setattr(ddmsim.sweep, "steady_columns", counted)
+        grids = {"n_atoms": [3, 10, 3, 140, 0], "beta": [0.5, 2.0, -1.0]}
+        rows = run(SweepSpec.from_dict({"mode": "phase_diagram", "grids": grids})).rows
+        assert sum(r["status"] == "ok" for r in rows) == 8
+        assert calls == [[3] * 4, [10] * 2, [140] * 2]
+
+    def test_n_too_large_for_its_tables_is_an_error_row(self):
+        # The O(N) tables of N = 10^30 cannot be allocated; the point's
+        # group becomes error rows and the rest of the sweep goes on.
+        grids = {"n_atoms": [3, 1e30], "beta": [0.5, 2.0]}
+        rows = run(SweepSpec.from_dict({"mode": "phase_diagram", "grids": grids})).rows
+        assert [r["status"] for r in rows[:2]] == ["ok", "ok"]
+        assert all(r["status"].startswith("error: ") and r["n_atoms"] == 1e30
+                   for r in rows[2:])
