@@ -29,6 +29,7 @@ from ddmsim.analysis import (
     fit_omega_eff,
     fit_power_law,
 )
+from ddmsim.blas import pin_blas_threads
 from ddmsim.sweep import (
     DEFAULT_TOL,
     SWEEP_MODES,
@@ -231,6 +232,7 @@ def _run_fit_alpha(args) -> int:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        pin_blas_threads()
         return args.run(args)
     except (FitConvergenceError, UnderdeterminedFitError) as exc:
         print(f"ddmsim: fit failure: {exc}", file=sys.stderr)

@@ -321,10 +321,11 @@ def evolve(
 
 
 # Largest sector operator built as a dense array, which `evolve` then
-# exponentiates densely (N = 47). On 2 cores the wall times of the two
-# branches cross between N = 48 and 56 (1225 and 1653 rows); the dense
-# products also take about twice their wall time in CPU there, on BLAS
-# threads.
+# exponentiates densely (N = 47). On one BLAS thread (2-core host; t = 8,
+# 161 samples, beta 1.5) a trace takes 0.88-0.96 s dense and 1.0 s sparse
+# at N = 47, and the two branches cross between N = 50 and 53 (1326 and
+# 1485 rows). Dense wins N = 48-49 by about 0.15 s a trace, too little to
+# move the switch and the outputs of those traces with it.
 _DENSE_MAX_ROWS = 1200
 
 
@@ -456,9 +457,13 @@ def _steady_populations(a: np.ndarray, r: np.ndarray) -> np.ndarray:
     r = rabi/gamma: p_l ~ d_l = 1 + (a_l/r)^2 d_{l+1} from d_N = 1, in
     Python floats. A row's tail and its constant term are rescaled
     together as they grow, so nothing overflows at weak drive and large N.
+    A ratio (a_l/r)^2 beyond the float range is inf, silently: its row
+    ends as nan, which the caller's residual check reports.
     """
     rows = []
-    for qs in ((a / r[:, None]) ** 2)[:, ::-1].tolist():
+    with np.errstate(over="ignore"):
+        ratios = (a / r[:, None]) ** 2
+    for qs in ratios[:, ::-1].tolist():
         d, one = [1.0], 1.0
         append = d.append
         last = 1.0
@@ -661,7 +666,8 @@ def steady_columns(group: Sequence[ModelParams]):
     r = np.where(ground, np.inf, rabi / gamma)
     pops = _steady_populations(a, r)
     pops[ground] = np.arange(n + 1) == 0
-    steps = a * (1.0 / r)[:, None]  # A_l/r, as the chains take it
+    with np.errstate(over="ignore"):  # r subnormal: inf, a faulted row
+        steps = a * (1.0 / r)[:, None]  # A_l/r, as the chains take it
     m_sum, spsm, g2_num = _weighted_sums(_ladder(n).weights, pops)
     s_z = m_sum / (n / 2.0)
     # <S-> = sum_l A_l rho_{l+1,l}, rho_{l+1,l} = -i R[l, l+1], summed as

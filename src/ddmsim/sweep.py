@@ -22,6 +22,7 @@ from itertools import chain, product, repeat
 import numpy as np
 
 from ddmsim import __version__
+from ddmsim.blas import pin_blas_threads
 from ddmsim.params import ModelParams
 # liouvillian_rhs, steady_state and g2_zero are unused here; they are
 # traced under these names by bench/spans.py and bench/gate.py.
@@ -322,8 +323,10 @@ def run(spec: SweepSpec, threads: int = 1) -> SweepResult:
     """Execute the sweep; deterministic given the spec.
 
     Points are independent; with threads > 1 they are evaluated by a
-    pool of at most min(threads, cpu count, points) workers, with output
-    order fixed by the grid regardless of completion order. A batched
+    pool of at most min(threads, CPUs this process may run on, points)
+    workers, with output order fixed by the grid regardless of
+    completion order. Every process does its BLAS on one thread
+    (`pin_blas_threads`), so the pool is the only parallelism. A batched
     mode solves its points in one chunk per worker (one chunk when
     serial); any other mode sends each point on its own. Per-point
     solver failures are recorded in the status column; only an
@@ -331,9 +334,12 @@ def run(spec: SweepSpec, threads: int = 1) -> SweepResult:
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
+    pin_blas_threads()
     mode = SWEEP_MODES[spec.mode]
     points = list(product(*(spec.grids[name] for name in mode.grids)))
-    workers = min(threads, os.cpu_count() or 1, len(points))
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
+    workers = min(threads, cpus or 1, len(points))
     size = -(-len(points) // workers) if mode.batched else 1
     tasks = [(spec.mode, points[k:k + size], spec.tol, spec.settings)
              for k in range(0, len(points), size)]

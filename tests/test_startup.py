@@ -17,10 +17,12 @@ import pytest
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # Runs its arguments through ddmsim.cli.main (or, with none, only builds
-# the parser) and writes the scipy modules it loaded to stderr.
+# the parser) and writes to stderr how many times the BLAS pin did its
+# work, then the scipy modules it loaded.
 PROBE = """
 import sys
 import ddmsim.cli
+from ddmsim.blas import pin_blas_threads
 try:
     code = 0
     if sys.argv[1:]:
@@ -28,6 +30,7 @@ try:
     else:
         ddmsim.cli.build_parser()
 finally:
+    print(f"pins:{pin_blas_threads.cache_info().misses}", file=sys.stderr)
     print("scipy:" + ",".join(sorted(m for m in sys.modules
                                      if m.partition(".")[0] == "scipy")),
           file=sys.stderr)
@@ -45,15 +48,19 @@ def run_python(cwd, code, *argv):
 
 
 def run_probe(cwd, *argv):
-    """(exit code, scipy modules loaded) of one fresh `ddmsim` process."""
+    """(exit code, scipy modules loaded, BLAS pins done) of one fresh
+    `ddmsim` process."""
     proc = run_python(cwd, PROBE, *argv)
-    last = proc.stderr.splitlines()[-1]
-    assert last.startswith("scipy:"), proc.stderr
-    return proc.returncode, set(filter(None, last[len("scipy:"):].split(",")))
+    pins, last = proc.stderr.splitlines()[-2:]
+    assert pins.startswith("pins:") and last.startswith("scipy:"), proc.stderr
+    return (proc.returncode, set(filter(None, last[len("scipy:"):].split(","))),
+            int(pins[len("pins:"):]))
 
 
 def test_parser_loads_no_scipy(tmp_path):
-    assert run_probe(tmp_path) == (0, set())
+    # Nor does importing the CLI or building its parser pin BLAS, so the
+    # start-up time does not include it.
+    assert run_probe(tmp_path) == (0, set(), 0)
 
 
 @pytest.mark.parametrize("argv", [
@@ -67,8 +74,9 @@ def test_parser_loads_no_scipy(tmp_path):
      "--n-samples", "5", "--out", "t.csv"],
 ])
 def test_subcommand_loads_no_scipy(tmp_path, argv):
+    # A command pins BLAS once, with no scipy module; --help runs none.
     (tmp_path / "rates.csv").write_text("n_atoms,gamma_sr\n2,8\n3,18\n4,32\n5,50\n")
-    assert run_probe(tmp_path, *argv) == (0, set())
+    assert run_probe(tmp_path, *argv) == (0, set(), 0 if argv == ["--help"] else 1)
 
 
 def test_scipy_subcommands_still_run(tmp_path):
@@ -82,8 +90,8 @@ def test_scipy_subcommands_still_run(tmp_path):
          "--n-samples", "3", "--out", "large.csv"],
         ["mu", "--ell-ax", "1,5", "--ell-rad", "0.5", "--out", "mu.csv"],
     ):
-        code, _ = run_probe(tmp_path, *argv)
-        assert code == 0, argv
+        code, _, pins = run_probe(tmp_path, *argv)
+        assert (code, pins) == (0, 1), argv
 
 
 def test_bench_held_solve_ivp_resolves_on_first_access(tmp_path):

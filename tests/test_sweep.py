@@ -342,11 +342,10 @@ class TestThreads:
         with pytest.raises(ConfigError, match="threads"):
             run(make_spec(), threads=threads)
 
-    @pytest.mark.parametrize("threads, cpus, n_points, workers", [
-        (1000, 8, 4, 4), (1000, 2, 6, 2), (3, 8, 6, 3), (2, None, 6, None),
-        (4, 8, 1, None),
-    ])
-    def test_workers_capped(self, monkeypatch, threads, cpus, n_points, workers):
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """The max_workers of each pool `run` starts; the pool runs its
+        tasks in this process."""
         started = []
 
         class SerialPool:
@@ -363,7 +362,23 @@ class TestThreads:
                 return map(fn, tasks)
 
         monkeypatch.setattr(ddmsim.sweep, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(ddmsim.sweep.os, "cpu_count", lambda: cpus)
+        return started
+
+    @pytest.mark.parametrize("threads, cpus, n_points, workers", [
+        (1000, 8, 4, 4), (1000, 2, 6, 2), (3, 8, 6, 3), (2, None, 6, None),
+        (4, 8, 1, None),
+    ])
+    def test_workers_capped(self, monkeypatch, started, threads, cpus, n_points, workers):
+        # The cap is the CPUs this process may run on, not the machine's
+        # count; cpus None is a platform without affinity masks whose
+        # count is unknown.
+        if cpus is None:
+            monkeypatch.delattr(ddmsim.sweep.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(ddmsim.sweep.os, "cpu_count", lambda: None)
+        else:
+            monkeypatch.setattr(ddmsim.sweep.os, "sched_getaffinity",
+                                lambda pid: set(range(cpus)), raising=False)
+            monkeypatch.setattr(ddmsim.sweep.os, "cpu_count", lambda: 64)
         spec = SweepSpec.from_dict({
             "mode": "screening_curve",
             "grids": {"n_atoms": [20], "beta": [0.5 + k for k in range(n_points)]},
@@ -371,6 +386,14 @@ class TestThreads:
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
         assert format_csv(run(spec, threads=threads)) == format_csv(run(spec))
         assert started == ([workers] if workers else [])
+
+    def test_cpu_count_where_there_is_no_affinity_mask(self, monkeypatch, started):
+        monkeypatch.delattr(ddmsim.sweep.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(ddmsim.sweep.os, "cpu_count", lambda: 3)
+        spec = SweepSpec.from_dict({"mode": "screening_curve",
+                                    "grids": {"n_atoms": [20], "beta": [0.5, 1.5, 2.5, 3.5]}})
+        run(spec, threads=8)
+        assert started == [3]
 
 
 class TestLayerRouting:

@@ -11,6 +11,7 @@ import io
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 import ddmsim.ladder
 import ddmsim.sweep
-from ddmsim.cli import ConfigError, _column, _read_table
+from ddmsim.cli import ConfigError, _column, _read_table, main
 from ddmsim.ladder import (
     DickeLadderState,
     LadderTrajectory,
@@ -518,6 +519,24 @@ class TestSteadyRows:
             result = run(spec, threads=threads)
             assert list(map(without_residual, result.rows)) == want
         assert format_csv(result) == format_csv(run(spec))
+
+    @pytest.mark.parametrize("argv", [
+        ["phase-diagram", "--n-atoms", "10,2000", "--beta", "1e-300,1e-310,2"],
+        ["steady", "--n-atoms", "10", "--rabi", "1e-300,1e-310,3"],
+    ])
+    def test_an_overflowing_ratio_is_only_its_error_row(self, tmp_path, capsys, argv):
+        # (A_l/r)^2 overflows at r = 1e-300, and 1/r at r = 1e-310 too:
+        # numpy must not warn about it on stderr.
+        out = tmp_path / "t.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv + ["--out", str(out)]) == 0
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
+        with open(out) as fh:
+            rows = list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
+        assert [r["status"] for r in rows] == (
+            ["error: steady-state residual nan exceeds 1.0e-10"] * 2 + ["ok"]) * (len(rows) // 3)
 
     def test_dark_ground_state_row(self):
         (row,) = run(SweepSpec.from_dict({"mode": "steady_state",
