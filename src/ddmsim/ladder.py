@@ -16,9 +16,11 @@ excited).
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -202,11 +204,16 @@ def _require_ladder(state: DickeLadderState, params: ModelParams) -> None:
         )
 
 
-def _rates(params: ModelParams):
+def _rates(params, tables=None):
     """The ladder coefficients of the master equation, at i = m + S:
     drive[i] = (rabi/2) A_m, the drive between m and m + 1 (drive[N] = 0),
-    and drain[i] = -(gamma/2) A_{m-1}^2, the decay out of level m."""
-    tables = _ladder(params.n_atoms)
+    and drain[i] = -(gamma/2) A_{m-1}^2, the decay out of level m.
+
+    tables defaults to the `_ladder` of params. A `_Chunk` passes itself
+    as both: its rabi and gamma are given slot by slot.
+    """
+    if tables is None:
+        tables = _ladder(params.n_atoms)
     return 0.5 * params.rabi * tables.a, -0.5 * params.gamma * tables.drain_base
 
 
@@ -452,32 +459,101 @@ def _gauge(dim: int, inverse: bool = False) -> np.ndarray:
     return tables.gauge_inverse if inverse else tables.gauge
 
 
-def _steady_populations(a: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """The populations p of `_resonant_steady_rho`, one row per ratio
-    r = rabi/gamma: p_l ~ d_l = 1 + (a_l/r)^2 d_{l+1} from d_N = 1, in
-    Python floats. A row's tail and its constant term are rescaled
-    together as they grow, so nothing overflows at weak drive and large N.
-    A ratio (a_l/r)^2 beyond the float range is inf, silently: its row
-    ends as nan, which the caller's residual check reports.
+class _Chunk(NamedTuple):
+    """Steady points laid end to end in flat arrays (`_chunk`).
+
+    Point k takes the N_k + 1 consecutive slots first[k]..last[k], one
+    per level l = 0..N_k. Points of equal N that follow each other form a
+    run, and runs lists (N + 1, points) for each. a, drain_base and
+    weights hold each point's `_Ladder` tables in its slots, so A_N = 0
+    in every last slot. rabi and gamma are each point's, slot by slot.
     """
-    rows = []
-    with np.errstate(over="ignore"):
-        ratios = (a / r[:, None]) ** 2
-    for qs in ratios[:, ::-1].tolist():
-        d, one = [1.0], 1.0
-        append = d.append
-        last = 1.0
-        for q in qs:
-            last = one + q * last
+
+    runs: list
+    sizes: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+    a: np.ndarray
+    drain_base: np.ndarray
+    weights: np.ndarray
+    rabi: np.ndarray
+    gamma: np.ndarray
+
+
+def _chunk(group: Sequence[ModelParams]) -> _Chunk:
+    """The flat layout of group, in its order, from the cached tables."""
+    sizes = [p.n_atoms + 1 for p in group]
+    runs = [(size, len(list(points))) for size, points in groupby(sizes)]
+    tables = [t for size, count in runs for t in [_ladder(size - 1)] * count]
+    flat = [np.concatenate([getattr(t, name) for t in tables], -1)
+            for name in ("a", "drain_base", "weights")]
+    sizes = np.array(sizes)
+    last = np.cumsum(sizes) - 1
+    rabi, gamma = np.repeat([[p.rabi for p in group], [p.gamma for p in group]], sizes, 1)
+    return _Chunk(runs, sizes, last - (sizes - 1), last, *flat, rabi, gamma)
+
+
+def _next(x: np.ndarray, chunk: _Chunk) -> np.ndarray:
+    """x_{l+1} in slot l, and an exact 0 in each point's last slot, so
+    that no value (a nan included) reaches the point before it."""
+    shifted = np.empty_like(x)
+    shifted[:-1] = x[1:]
+    shifted[chunk.last] = 0.0
+    return shifted
+
+
+def _point_sums(x: np.ndarray, chunk: _Chunk, end: int | None = None) -> np.ndarray:
+    """sum_l x[..., l] over the slots of each point (its first N only, if
+    end = -1). Each run is summed by np.add.reduce over its (points, N + 1)
+    view, so every sum rounds as it would in a batch of its N alone."""
+    sums, start = [], 0
+    for size, count in chunk.runs:
+        stop = start + size * count
+        rows = x[..., start:stop].reshape(*x.shape[:-1], count, size)
+        sums.append(np.add.reduce(rows[..., :end], -1))
+        start = stop
+    return np.concatenate(sums, -1)
+
+
+def _steady_populations(chunk: _Chunk, r) -> np.ndarray:
+    """The populations p of `_resonant_steady_rho` in the slots of chunk,
+    r = rabi/gamma being given slot by slot (or once for all): p_l ~ d_l =
+    1 + (A_l/r)^2 d_{l+1} from d_N = 1, point by point in Python floats,
+    and each point normalised by `_point_sums`.
+
+    Whenever the last d passes 1e150, the constant term and the entries
+    of d from the first one that is not yet 0 are divided by it, so
+    nothing overflows at weak drive and large N. Older entries underflow
+    to 0 within a few such steps and are never divided again, which keeps
+    a point O(N) at any drive; dividing them too would give the same
+    bits. A ratio (A_l/r)^2 beyond the float range is inf, and the
+    rescale's inf/inf nan, both silently: the point ends as nan, which
+    the caller's residual check reports.
+    """
+    d, stop = array("d"), 0
+    append = d.append
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = (chunk.a / r) ** 2
+        # Every point's slots from l = N down, read as Python floats; d
+        # is kept as C doubles, all points in one array, each from d_N.
+        flipped = memoryview(ratios[::-1].copy())
+        for size in chunk.sizes[::-1].tolist():
+            start, stop = stop + 1, stop + size  # from l = N - 1
+            live, one, last = len(d), 1.0, 1.0
             append(last)
-            if last > 1e150:
-                d = [v / last for v in d]
-                append = d.append
-                one /= last
-                last = d[-1]
-        rows.append(d[::-1])
-    pops = np.array(rows)
-    pops /= np.add.reduce(pops, -1, keepdims=True)
+            for q in flipped[start:stop]:
+                last = one + q * last
+                append(last)
+                if last > 1e150:
+                    tail = np.frombuffer(d, offset=live * d.itemsize)
+                    tail /= last
+                    del tail  # d cannot grow while a numpy array views it
+                    one /= last
+                    last = d[-1]
+                    while d[live] == 0.0:
+                        live += 1
+    pops = np.frombuffer(d)[::-1].copy()
+    pops /= np.repeat(_point_sums(pops, chunk), chunk.sizes)
     return pops
 
 
@@ -511,7 +587,7 @@ def _resonant_steady_rho(params: ModelParams, work: np.ndarray) -> np.ndarray:
     dim = n + 1
     a = _ladder(n).a[:-1]
     r = params.rabi / params.gamma
-    pops = _steady_populations(a, np.array([r]))[0]
+    pops = _steady_populations(_chunk([params]), r)
 
     # steps[n + l - k] is the k-th factor of chain l, A_{l-k}/r, and ones
     # pad the rows past the chain's end. A_k/r is taken as A_k * (1/r),
@@ -646,41 +722,48 @@ def g2_zero(state: DickeLadderState) -> float:
 
 
 def steady_columns(group: Sequence[ModelParams]):
-    """(columns, faults) of the steady states of params of one N, in O(N)
-    each: every observable reads only p and R[l, l+1] = p_{l+1} A_l/r of
-    the closed form (`_resonant_steady_rho`), summed as `observables` and
-    `g2_zero` sum it, so it has the bits of `steady_state`'s. columns maps
-    s_z, n_e, re_dipole, im_dipole, gamma_sr, g2 (nan where undefined) and
-    residual (`_band_residual`) to arrays over the group; faults maps the
-    index of each state whose residual or |sum p - 1| exceeds _RESID_TOL
-    to why.
+    """(columns, faults) of the steady states of resonant params of any N,
+    in O(N) each and in one flat array pass over the group (`_chunk`).
+
+    Every observable reads only p and R[l, l+1] = p_{l+1} A_l/r of the
+    closed form (`_resonant_steady_rho`), and every step is the one a
+    batch of one N takes, in the same order, so each value has the bits of
+    `steady_state`'s: the products slot by slot, and the sums over each
+    run's (points, N + 1) view as `observables` and `g2_zero` sum them
+    (`_point_sums`). A point whose N differs from its neighbours' merely
+    starts a new run. columns maps s_z, n_e, re_dipole, im_dipole,
+    gamma_sr, g2 (nan where undefined) and residual (`_band_residual`) to
+    arrays over the group; faults maps the index of each state whose
+    residual or |sum p - 1| exceeds _RESID_TOL to why.
     """
-    n = group[0].n_atoms
-    if any(p.n_atoms != n or p.detuning != 0.0 for p in group):
-        raise ValueError("steady_columns takes resonant params of one N")
-    a = _ladder(n).a[:-1]
-    rabi, gamma = np.array([(p.rabi, p.gamma) for p in group]).T
+    if any(p.detuning != 0.0 for p in group):
+        raise ValueError("steady_columns takes resonant params")
+    chunk = _chunk(group)
     # The undriven ground state is dark: p = (1, 0, ...), and 1/r = 0
     # clears R off the diagonal.
-    ground = rabi == 0.0
-    r = np.where(ground, np.inf, rabi / gamma)
-    pops = _steady_populations(a, r)
-    pops[ground] = np.arange(n + 1) == 0
-    with np.errstate(over="ignore"):  # r subnormal: inf, a faulted row
-        steps = a * (1.0 / r)[:, None]  # A_l/r, as the chains take it
-    m_sum, spsm, g2_num = _weighted_sums(_ladder(n).weights, pops)
-    s_z = m_sum / (n / 2.0)
+    dark = chunk.rabi == 0.0
+    r = np.where(dark, np.inf, chunk.rabi / chunk.gamma)
+    pops = _steady_populations(chunk, r)
+    pops[dark] = 0.0
+    pops[chunk.first[dark[chunk.first]]] = 1.0
+    # r subnormal: 1/r is inf, a faulted point, and A_N/r is nan, which
+    # the exact 0 of each last slot replaces.
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = chunk.a * (1.0 / r)  # A_l/r, as the chains take it
+    steps[chunk.last] = 0.0
+    m_sum, spsm, g2_num = _point_sums(chunk.weights * pops, chunk)
+    s_z = m_sum / ((chunk.sizes - 1) / 2.0)
     # <S-> = sum_l A_l rho_{l+1,l}, rho_{l+1,l} = -i R[l, l+1], summed as
-    # the complex numbers that `observables` sums.
-    terms = np.zeros((len(group), n), complex)
-    np.subtract(0.0, a * (pops[:, 1:] * steps), out=terms.imag)
-    dipole = np.add.reduce(terms, -1)
+    # the complex numbers that `observables` sums, over l = 0..N-1.
+    terms = np.zeros(pops.size, complex)
+    np.subtract(0.0, chunk.a * (_next(pops, chunk) * steps), out=terms.imag)
+    dipole = _point_sums(terms, chunk, end=-1)
     # In Python floats, as `g2_zero` takes it: x**2 is then libm's pow,
     # which can round differently from numpy's x*x.
     g2 = [num / rate**2 if rate >= _G2_MIN_RATE else math.nan
           for rate, num in zip(spsm.tolist(), g2_num.tolist())]
-    residual = _band_residual(group, pops, steps)
-    drift = np.abs(np.add.reduce(pops, -1) - 1.0)
+    residual = _band_residual(chunk, pops, steps)
+    drift = np.abs(_point_sums(pops, chunk) - 1.0)
     tol = _RESID_TOL
     faults = {k: f"steady-state residual {res:.3e} exceeds {tol:.1e}" if not res <= tol
               else f"steady-state trace is off by {off:.3e}"
@@ -691,24 +774,31 @@ def steady_columns(group: Sequence[ModelParams]):
             "residual": residual}, faults
 
 
-def _band_residual(group: Sequence[ModelParams], pops: np.ndarray,
-                   steps: np.ndarray) -> np.ndarray:
-    """max |L R| over the diagonal and the first off-diagonal, for each R
-    given by a row of p (pops) and A_l/r (steps) and a params of group:
-    the stencil of `_gauged_rhs` there, which reads diagonals 0-2 of R."""
-    drive, drain = map(np.array, zip(*map(_rates, group)))
-    gamma = np.array([p.gamma for p in group])[:, None]
-    a = _ladder(group[0].n_atoms).a
-    d1 = pops[:, 1:] * steps  # R[l, l+1]
-    d2 = d1[:, 1:] * steps[:, :-1]  # R[l, l+2]
+def _band_residual(chunk: _Chunk, pops: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """max |L R| over the diagonal and the first off-diagonal, for each
+    point of chunk, its R given by p (pops) and A_l/r (steps, 0 in each
+    last slot) in its slots: the stencil of `_gauged_rhs` there, which
+    reads diagonals 0-2 of R. Slot l holds the terms of entries (l, l)
+    and (l, l+1). A neighbour past a point's end is an exact 0, and so is
+    every term that its last slot passes on to the next point's first, so
+    a point adds only zeros beyond the terms of a batch of its N alone."""
+    drive, drain = _rates(chunk, chunk)
+    gamma = chunk.gamma
+    p_next = _next(pops, chunk)
+    d1 = p_next * steps  # R[l, l+1]
+    d1_next = _next(d1, chunk)
+    # 0 * inf in a last-but-one slot is nan silently: 1/r is inf there,
+    # and that point's p is nan already.
+    with np.errstate(invalid="ignore"):
+        d2 = d1_next * steps  # R[l, l+2]
     diag = 2.0 * drain * pops
-    diag[:, :-1] += gamma * a[:-1] ** 2 * pops[:, 1:]
-    flow = 2.0 * drive[:, :-1] * d1
-    diag[:, :-1] -= flow
-    diag[:, 1:] += flow
-    off = (drain[:, :-1] + drain[:, 1:]) * d1
-    off[:, :-1] += gamma * (a[:-2] * a[1:-1]) * d1[:, 1:]
-    off += drive[:, :-1] * (pops[:, :-1] - pops[:, 1:])
-    off[:, :-1] -= drive[:, 1:-1] * d2
-    off[:, 1:] += drive[:, :-2] * d2
-    return np.maximum(np.abs(diag).max(-1), np.abs(off).max(-1))
+    diag += gamma * chunk.a ** 2 * p_next
+    flow = 2.0 * drive * d1
+    diag -= flow
+    diag[1:] += flow[:-1]
+    off = (drain + _next(drain, chunk)) * d1
+    off += gamma * (chunk.a * _next(chunk.a, chunk)) * d1_next
+    off += drive * (pops - p_next)
+    off -= _next(drive, chunk) * d2
+    off[1:] += (drive * d2)[:-1]
+    return np.maximum.reduceat(np.maximum(np.abs(diag), np.abs(off)), chunk.first)

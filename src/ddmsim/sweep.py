@@ -165,13 +165,21 @@ def _dynamics_rows(point, tol, settings):
     } for t, n_e, s_z, re, im, gamma_sr, residual in columns]
 
 
+# Slots, N + 1 a point, that one `steady_columns` call may take: points
+# are merged into one flat pass while they fit. That bounds the flat
+# arrays at large N too, where fresh multi-megabyte temporaries would
+# cost more in page faults than their arithmetic.
+_STEADY_SLOTS = 1 << 15
+
+
 def _steady_rows(chunk, *_, drive="rabi"):
     """The rows of a chunk of (n_atoms, drive) points, drive being rabi or,
     in the phase diagram, beta (rabi = beta N/2). Points are checked
-    through ModelParams one by one and solved by `steady_columns`, one
-    call per N; a point failing either is an error row with the text it
-    raised when solved on its own."""
-    names, rows, groups = ("n_atoms", drive), [], {}
+    through ModelParams one by one, grouped into runs of equal N and
+    solved by `steady_columns`, one call per `_slices` slice; a point
+    failing either is an error row with the text it raised when solved on
+    its own."""
+    names, rows, runs = ("n_atoms", drive), [], {}
     for k, point in enumerate(chunk):
         try:
             n, value = int(point[0]), float(point[1])
@@ -180,9 +188,9 @@ def _steady_rows(chunk, *_, drive="rabi"):
         except Exception as exc:
             rows.append(_error_row(dict(zip(names, point)), exc))
             continue
-        groups.setdefault(params.n_atoms, []).append((k, params))
+        runs.setdefault(params.n_atoms, []).append((k, params))
         rows.append(None)
-    for members in groups.values():
+    for members in _slices(runs.values()):
         index, group = zip(*members)
         try:
             columns, faults = steady_columns(group)
@@ -196,6 +204,23 @@ def _steady_rows(chunk, *_, drive="rabi"):
         for j, error in faults.items():
             rows[index[j]] = _error_row(dict(zip(names, chunk[index[j]])), error)
     return rows
+
+
+def _slices(runs):
+    """The runs (lists of (index, params) of one N) cut and merged, in
+    order, into slices of at most _STEADY_SLOTS slots, N + 1 a point; a
+    point larger than that is a slice alone."""
+    merged, slots = [], 0
+    for run in runs:
+        size = run[0][1].n_atoms + 1
+        for member in run:
+            if merged and slots + size > _STEADY_SLOTS:
+                yield merged
+                merged, slots = [], 0
+            merged.append(member)
+            slots += size
+    if merged:
+        yield merged
 
 
 def _finite(row):

@@ -966,9 +966,10 @@ def reference_phases(dim, inverse=False):
     return table.conj() if inverse else table
 
 
-def reference_resonant_steady_rho(params):
-    n = params.n_atoms
-    a = reference_coupling(n)[:-1]
+def reference_populations(params):
+    """The diagonal of the closed form: the recurrence that rescales the
+    whole of d whenever its last entry passes 1e150."""
+    a = reference_coupling(params.n_atoms)[:-1]
     r = params.rabi / params.gamma
     d, one = [1.0], 1.0
     for q in ((a / r) ** 2)[::-1].tolist():
@@ -979,6 +980,14 @@ def reference_resonant_steady_rho(params):
             one /= scale
     pops = np.array(d[::-1])
     pops /= pops.sum()
+    return pops
+
+
+def reference_resonant_steady_rho(params):
+    n = params.n_atoms
+    a = reference_coupling(n)[:-1]
+    r = params.rabi / params.gamma
+    pops = reference_populations(params)
     idx = np.arange(n + 1)
     below = np.greater.outer(idx, idx)
     steps = np.where(below, 1.0, np.append(a * (1.0 / r), 1.0)[:, None])
@@ -1235,11 +1244,13 @@ def band_of(rhs):
 
 
 def column_inputs(params):
-    """p and A_l/r of one params, each as a one-row stack, as
-    `steady_columns` forms them."""
-    a = _ladder(params.n_atoms).a[:-1]
+    """The chunk of params alone, and p and A_l/r (0 in the last slot) in
+    its slots, as `steady_columns` forms them."""
+    chunk = ddmsim.ladder._chunk([params])
     r = params.rabi / params.gamma
-    return ddmsim.ladder._steady_populations(a, np.array([r])), (a * (1.0 / r))[None]
+    steps = chunk.a * (1.0 / r)
+    steps[-1] = 0.0
+    return chunk, ddmsim.ladder._steady_populations(chunk, r), steps
 
 
 def bits(value):
@@ -1248,6 +1259,11 @@ def bits(value):
 
 # The observable columns of `steady_columns`, in row order.
 COLUMN_NAMES = ("s_z", "n_e", "re_dipole", "im_dipole", "gamma_sr", "g2")
+
+
+def point_columns(cols, k):
+    """The cells of point k of steady_columns' columns, as bytes."""
+    return [bits(cols[name][k]) for name in COLUMN_NAMES + ("residual",)]
 
 
 class TestSteadyColumns:
@@ -1295,15 +1311,53 @@ class TestSteadyColumns:
         assert bits(cols["g2"][0]) == bits(g2_zero(state))
 
     def test_populations_do_not_depend_on_their_batch(self):
-        a = _ladder(300).a[:-1]
-        r = np.array([0.5, 1.5, 150.0, 1e-3, 3e4])
-        pops = ddmsim.ladder._steady_populations(a, r)
-        for k in range(r.size):
-            alone = ddmsim.ladder._steady_populations(a, r[k:k + 1])[0]
-            assert pops[k].tobytes() == alone.tobytes()
-        params = ModelParams(n_atoms=300, rabi=1.5)
-        gauged = ddmsim.ladder._resonant_steady_rho(params, np.empty(3 * 301**2))
-        assert gauged.diagonal().tobytes() == pops[1].tobytes()
+        populations, chunk_of = ddmsim.ladder._steady_populations, ddmsim.ladder._chunk
+        one_n = [(300, 0.5), (300, 1.5), (300, 150.0), (300, 1e-3), (300, 3e4)]
+        # Unsorted and repeated N: runs of one point and of several.
+        mixed = [(300, 0.5), (7, 1e-3), (300, 1.5), (2000, 10.0), (2000, 1e4), (1, 2.0),
+                 (7, 1e-3), (7, 60.0), (300, 150.0), (1, 0.3)]
+        gauged = ddmsim.ladder._resonant_steady_rho(ModelParams(n_atoms=300, rabi=1.5),
+                                                    np.empty(3 * 301**2))
+        for points in (one_n, mixed):
+            group = [ModelParams(n_atoms=n, rabi=rabi) for n, rabi in points]
+            chunk = chunk_of(group)
+            pops = populations(chunk, chunk.rabi / chunk.gamma)
+            for k, params in enumerate(group):
+                mine = pops[chunk.first[k]:chunk.last[k] + 1]
+                alone = populations(chunk_of([params]), params.rabi / params.gamma)
+                assert mine.tobytes() == alone.tobytes(), params
+                assert mine.tobytes() == reference_populations(params).tobytes(), params
+            k = points.index((300, 1.5))
+            assert (gauged.diagonal().tobytes()
+                    == pops[chunk.first[k]:chunk.last[k] + 1].tobytes())
+
+    @pytest.mark.parametrize("n", [2000, 10_000])
+    @pytest.mark.parametrize("beta", [0.01, 0.1, 0.5])
+    def test_rescaled_populations_match_the_reference(self, n, beta):
+        # The tail-only rescale against the recurrence that rescales all
+        # of d: the same bits.
+        params = ModelParams(n_atoms=n, rabi=0.5 * beta * n)
+        assert population_rescales(params)
+        chunk = ddmsim.ladder._chunk([params])
+        got = ddmsim.ladder._steady_populations(chunk, params.rabi / params.gamma)
+        assert got.tobytes() == reference_populations(params).tobytes()
+
+    def test_a_mixed_group_matches_each_point_alone(self):
+        # Unsorted and repeated N, the dark state, a nan point (beta
+        # 1e-300) and gamma 2.5: every cell and fault of a point is the
+        # one it has alone.
+        points = [(31, 0.5, 1.0), (3, 1e-300, 1.0), (140, 0.0, 1.0), (3, 2.0, 1.0),
+                  (31, 2.75, 2.5), (1, 0.5, 1.0), (2000, 0.01, 1.0), (3, 1e-300, 1.0),
+                  (140, 1.1, 1.0), (1, 1e-300, 1.0)]
+        group = [ModelParams(n_atoms=n, rabi=0.5 * beta * n * gamma, gamma=gamma)
+                 for n, beta, gamma in points]
+        cols, faults = steady_columns(group)
+        assert sorted(faults) == [1, 7, 9]
+        for k, params in enumerate(group):
+            alone, alone_faults = steady_columns([params])
+            assert point_columns(cols, k) == point_columns(alone, 0), params
+            assert faults.get(k) == alone_faults.get(0)
+        assert faults[1] == "steady-state residual nan exceeds 1.0e-10"
 
     @pytest.mark.parametrize("n", [1, 2, 7, 60, 333])
     @pytest.mark.parametrize("gamma", [1.0, 2.5])
@@ -1313,17 +1367,16 @@ class TestSteadyColumns:
         populations = ddmsim.ladder._steady_populations
         rng = np.random.default_rng(n)
 
-        def shaken(a, r):
-            return populations(a, r) * (1.0 + 1e-3 * rng.random(a.size + 1))
+        def shaken(chunk, r):
+            return populations(chunk, r) * (1.0 + 1e-3 * rng.random(chunk.a.size))
 
         monkeypatch.setattr(ddmsim.ladder, "_steady_populations", shaken)
         for beta in (0.3, 1.0, 2.75):
             params = ModelParams(n_atoms=n, rabi=0.5 * beta * n * gamma, gamma=gamma)
             gauged = ddmsim.ladder._resonant_steady_rho(params, np.empty(3 * (n + 1) ** 2))
             want = band_of(_gauged_rhs(gauged.copy(), params, symmetric=True))
-            a = _ladder(n).a[:-1]
-            steps = (a * (1.0 / (params.rabi / gamma)))[None]
-            got = ddmsim.ladder._band_residual([params], gauged.diagonal()[None], steps)
+            chunk, _, steps = column_inputs(params)
+            got = ddmsim.ladder._band_residual(chunk, gauged.diagonal(), steps)
             assert got[0] == pytest.approx(want, rel=1e-12)
             assert want > 1e-6
 
@@ -1334,23 +1387,23 @@ class TestSteadyColumns:
     def test_mutation_fails_the_band_check(self, n, beta, where):
         # One p_l or one A_l/r off by 1e-8 relative: the check must see it.
         params = ModelParams(n_atoms=n, rabi=0.5 * beta * n)
-        pops, steps = column_inputs(params)
-        assert ddmsim.ladder._band_residual([params], pops, steps)[0] <= 1e-10
+        chunk, pops, steps = column_inputs(params)
+        assert ddmsim.ladder._band_residual(chunk, pops, steps)[0] <= 1e-10
         a = _ladder(n).a[:-1]
         if where == "p":
-            pops[0, np.argmax(pops[0])] *= 1.0 + 1e-8
+            pops[np.argmax(pops)] *= 1.0 + 1e-8
         else:
-            steps[0, np.argmax(a**2 * pops[0, 1:])] *= 1.0 + 1e-8
-        assert ddmsim.ladder._band_residual([params], pops, steps)[0] > 1e-10
+            steps[np.argmax(a**2 * pops[1:])] *= 1.0 + 1e-8
+        assert ddmsim.ladder._band_residual(chunk, pops, steps)[0] > 1e-10
 
     def test_faults_name_the_failed_check(self, monkeypatch):
         populations = ddmsim.ladder._steady_populations
         group = [ModelParams(n_atoms=40, rabi=r) for r in (5.0, 20.0, 60.0)]
 
-        def broken(a, r):
-            pops = populations(a, r)
-            pops[0, 3] *= 1.0 + 1e-6  # the first state's band check fails
-            pops[2] *= 1.0 + 1e-9  # the third's trace is off, not its band
+        def broken(chunk, r):
+            pops = populations(chunk, r)
+            pops[3] *= 1.0 + 1e-6  # the first state's band check fails
+            pops[chunk.first[2]:] *= 1.0 + 1e-9  # the third's trace is off, not its band
             return pops
 
         monkeypatch.setattr(ddmsim.ladder, "_steady_populations", broken)
@@ -1359,8 +1412,7 @@ class TestSteadyColumns:
         assert re.fullmatch(r"steady-state residual \S+ exceeds 1\.0e-10", faults[0])
         assert re.fullmatch(r"steady-state trace is off by 1\.000e-09", faults[2])
 
-    def test_rejects_a_mixed_or_detuned_group(self):
-        for group in ([ModelParams(n_atoms=3, rabi=1.0), ModelParams(n_atoms=4, rabi=1.0)],
-                      [ModelParams(n_atoms=3, rabi=1.0, detuning=0.5)]):
-            with pytest.raises(ValueError, match="resonant params of one N"):
-                steady_columns(group)
+    def test_rejects_a_detuned_group(self):
+        group = [ModelParams(n_atoms=3, rabi=1.0), ModelParams(n_atoms=4, rabi=1.0, detuning=0.5)]
+        with pytest.raises(ValueError, match="takes resonant params"):
+            steady_columns(group)

@@ -270,14 +270,14 @@ class TestSteadyWindowAverage:
 class TestSteadyResidual:
     @pytest.fixture
     def rhs_calls(self, monkeypatch):
-        # Every row's residual is the band check of its N's group; no
-        # row applies the full (N+1)^2 stencil.
+        # Every row's residual is the band check of its chunk; no row
+        # applies the full (N+1)^2 stencil.
         calls = []
         band, stencil = ddmsim.ladder._band_residual, ddmsim.ladder._gauged_rhs
 
-        def counted(group, *args):
-            calls.append(group[0].n_atoms)
-            return band(group, *args)
+        def counted(chunk, *args):
+            calls.append(chunk.sizes.tolist())
+            return band(chunk, *args)
 
         def unexpected(*args, **kwargs):
             raise AssertionError("a steady row applied the full stencil")
@@ -407,7 +407,7 @@ class TestLayerRouting:
         ({"mode": "dynamics", "grids": {"n_atoms": [2], "rabi": [1.0]},
           "settings": {"t_final": 1.0, "n_samples": 3}},
          {"evolve": 1, "observables": 1}),
-        # The steady modes take each N's rows in one batched call, which
+        # The steady modes take a chunk's rows in one batched call, which
         # builds no state and calls none of the per-state layers.
         ({"mode": "steady_state", "grids": {"n_atoms": [2], "rabi": [1.0]}},
          {"steady_columns": 1}),

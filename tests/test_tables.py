@@ -7,6 +7,7 @@ same columns read back, the same rows and error texts.
 """
 
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -563,7 +564,9 @@ class TestSteadyRows:
         by_n = lines(sorted(set(n_values)), betas)
         assert by_n == [ordered[n, b] for n in sorted(set(n_values)) for b in betas]
 
-    def test_one_layer_call_per_n(self, monkeypatch):
+    @pytest.fixture
+    def slices(self, monkeypatch):
+        """The N of each point of every `steady_columns` call."""
         calls = []
         columns = ddmsim.sweep.steady_columns
 
@@ -572,10 +575,51 @@ class TestSteadyRows:
             return columns(group)
 
         monkeypatch.setattr(ddmsim.sweep, "steady_columns", counted)
+        return calls
+
+    def test_one_layer_call_per_slice(self, slices):
         grids = {"n_atoms": [3, 10, 3, 140, 0], "beta": [0.5, 2.0, -1.0]}
         rows = run(SweepSpec.from_dict({"mode": "phase_diagram", "grids": grids})).rows
         assert sum(r["status"] == "ok" for r in rows) == 8
-        assert calls == [[3] * 4, [10] * 2, [140] * 2]
+        # One flat pass, each N's points one run, in order of appearance.
+        assert slices == [[3] * 4 + [10] * 2 + [140] * 2]
+
+    @pytest.mark.parametrize("n_values, betas", [
+        (range(1, 401), [0.1, 0.5, 1.0, 2.0, 10.0]),
+        ([3, 20_000, 10, 20_000], [0.5, 2.0, 7.0]),
+    ])
+    def test_slices_stay_within_the_budget(self, slices, n_values, betas):
+        grids = {"n_atoms": list(n_values), "beta": betas}
+        rows = run(SweepSpec.from_dict({"mode": "phase_diagram", "grids": grids})).rows
+        assert all(r["status"] == "ok" for r in rows)
+        # A run larger than the budget is cut too, so a call holds at most
+        # max(budget, N + 1) slots, within max(budget, largest run).
+        sizes = [sum(n + 1 for n in call) for call in slices]
+        assert max(sizes) <= max(ddmsim.sweep._STEADY_SLOTS, max(n_values) + 1)
+        assert len(slices) > 1
+        assert sorted(n for call in slices for n in call) == sorted(
+            n for n in grids["n_atoms"] for _ in betas)
+
+    def test_a_mixed_chunk_is_its_points_alone(self, monkeypatch):
+        # Unsorted and repeated N, rabi 0, a nan point (beta 1e-300), an
+        # invalid N and one too large for its tables, in one chunk: each
+        # line is the one the point writes alone, serial and at
+        # --threads 2.
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        n_values, betas = [31, 3, 0, 140, 3, 1e30, 1, 600], [0.0, 1e-300, 2.75, 0.5]
+        spec = SweepSpec.from_dict({"mode": "phase_diagram",
+                                    "grids": {"n_atoms": n_values, "beta": betas}})
+        result = run(spec)
+        whole = format_csv(result).splitlines()[2:]
+        # A sweep of failing points alone raises, so each point is solved
+        # alone by the mode's rows and written with the sweep's columns.
+        alone = [ddmsim.sweep._steady_rows([point], drive="beta")[0]
+                 for point in itertools.product(n_values, betas)]
+        assert whole == format_csv(dataclasses.replace(result, rows=alone)).splitlines()[2:]
+        assert whole == format_csv(run(spec, threads=2)).splitlines()[2:]
+        status = [line.rsplit(",", 1)[-1] for line in whole]
+        assert status.count("ok") == 18  # beta 0, 2.75 and 0.5 at the six valid N
+        assert sum("nan exceeds" in s for s in status) == 6
 
     def test_n_too_large_for_its_tables_is_an_error_row(self):
         # The O(N) tables of N = 10^30 cannot be allocated; the point's
