@@ -24,8 +24,9 @@ import numpy as np
 from ddmsim import __version__
 from ddmsim.blas import pin_blas_threads
 from ddmsim.params import ModelParams
-# liouvillian_rhs, steady_state and g2_zero are unused here; they are
-# traced under these names by bench/spans.py and bench/gate.py.
+# liouvillian_rhs, steady_state, g2_zero and cooperativity_mu are unused
+# here; they are traced under these names by bench/spans.py and
+# bench/gate.py.
 from ddmsim.ladder import (
     DickeLadderState,
     evolve,
@@ -36,7 +37,7 @@ from ddmsim.ladder import (
     steady_state,
 )
 from ddmsim.meanfield import _elementwise, _screening_residual, solve_x
-from ddmsim.geometry import CloudGeometry, cooperativity_mu
+from ddmsim.geometry import CloudGeometry, cooperativity_column, cooperativity_mu
 
 SCHEMA_VERSION = 1
 DEFAULT_TOL = 1e-8
@@ -223,14 +224,6 @@ def _slices(runs):
         yield merged
 
 
-def _finite(row):
-    """The row itself; a ValueError if any of its numbers is not finite."""
-    bad = [k for k, v in row.items() if isinstance(v, float) and not math.isfinite(v)]
-    if bad:
-        raise ValueError(f"non-finite {', '.join(bad)}")
-    return [row]
-
-
 def _error_row(point, error):
     """The row of a point that failed: its grid values as floats, a nan
     residual and the status `error: <error>`."""
@@ -273,14 +266,42 @@ def _screening_rows(chunk, *_):
     return rows
 
 
-def _mu_rows(point, *_):
-    ax, rad = float(point["ell_ax"]), float(point["ell_rad"])
-    mu = cooperativity_mu(CloudGeometry(ell_ax=ax, ell_rad=rad))
-    return _finite({
-        "ell_ax": ax, "ell_rad": rad, "mu": mu,
-        "small_angle_estimate": 1.0 / (2.0 * math.pi * ax),
-        "residual": 0.0, "status": "ok",
-    })
+# Clouds that one `cooperativity_column` call may take: its interval
+# tables hold 200 slots a cloud, so this bounds them at any grid size.
+# Beyond about 10^3 clouds a call the time per cloud no longer falls.
+_MU_POINTS = 1 << 10
+
+
+def _mu_rows(chunk, *_):
+    """The rows of a chunk of (ell_ax, ell_rad) points. Points are checked
+    through CloudGeometry one by one and integrated by
+    `cooperativity_column`, one call per _MU_POINTS valid points; a point
+    failing either, or whose row holds a non-finite number, is an error
+    row with the text it raised when integrated on its own."""
+    names, rows, valid = ("ell_ax", "ell_rad"), [], []
+    for k, point in enumerate(chunk):
+        try:
+            valid.append((k, CloudGeometry(ell_ax=float(point[0]),
+                                           ell_rad=float(point[1]))))
+        except (TypeError, ValueError) as exc:
+            rows.append(_error_row(dict(zip(names, point)), exc))
+            continue
+        rows.append(None)
+    for start in range(0, len(valid), _MU_POINTS):
+        index, geoms = zip(*valid[start:start + _MU_POINTS])
+        mu, faults = cooperativity_column(geoms)
+        for j, (k, geom, mu_k) in enumerate(zip(index, geoms, mu.tolist())):
+            small = 1.0 / (2.0 * math.pi * geom.ell_ax)
+            rows[k] = {"ell_ax": geom.ell_ax, "ell_rad": geom.ell_rad, "mu": mu_k,
+                       "small_angle_estimate": small, "residual": 0.0, "status": "ok"}
+            # The sizes are finite once checked, so only these two can fail.
+            if j not in faults and not (math.isfinite(mu_k) and math.isfinite(small)):
+                bad = [name for name, v in (("mu", mu_k), ("small_angle_estimate", small))
+                       if not math.isfinite(v)]
+                faults[j] = f"non-finite {', '.join(bad)}"
+        for j, error in faults.items():
+            rows[index[j]] = _error_row(dict(zip(names, chunk[index[j]])), error)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -322,7 +343,8 @@ SWEEP_MODES = {
                                  ("x", "x_asymptote"), False, (), _screening_rows,
                                  batched=True),
     "cooperativity": SweepMode("mu", ("ell_ax", "ell_rad"),
-                               ("mu", "small_angle_estimate"), False, (), _mu_rows),
+                               ("mu", "small_angle_estimate"), False, (), _mu_rows,
+                               batched=True),
 }
 
 

@@ -1,17 +1,27 @@
+import dataclasses
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
+import ddmsim.geometry
+import ddmsim.sweep
 from ddmsim.geometry import (
     MAX_SIZE,
     SINGLE_DIPOLE_POWER,
     TWO_PI,
     CloudGeometry,
+    QuadratureError,
     _forward_lobe_integrand,
     coherent_power,
+    cooperativity_column,
     cooperativity_mu,
 )
-from ddmsim.sweep import _eval_point
+from ddmsim.sweep import SweepSpec, _eval_chunk, format_csv, run
 
 
 def envelope(u, geom):
@@ -190,7 +200,7 @@ class TestHighPrecisionReference:
     # integrand code with ddmsim. The points are ones where the radial
     # breakpoint of `coherent_power` leaves the forward lobe whole; at
     # ell_rad = 20 it cuts the lobe's tail (ROADMAP item 2), which the
-    # strict xfail below pins until the closed form replaces `quad`.
+    # strict xfail below pins until the closed form replaces the rule.
     @pytest.mark.parametrize(
         "ell_ax, ell_rad, want",
         [
@@ -203,7 +213,7 @@ class TestHighPrecisionReference:
         mu = cooperativity_mu(CloudGeometry(ell_ax=ell_ax, ell_rad=ell_rad))
         assert mu == pytest.approx(want, rel=1e-12, abs=0.0)
 
-    @pytest.mark.xfail(strict=True, reason="the radial breakpoint of `quad` cuts "
+    @pytest.mark.xfail(strict=True, reason="the radial breakpoint of the rule cuts "
                        "the forward lobe's tail: mu is 4.6e-5 low (ROADMAP item 2)")
     def test_mu_where_the_breakpoint_cuts_the_lobe(self):
         # The same 40-digit mpmath integral, at (1, 20).
@@ -211,12 +221,13 @@ class TestHighPrecisionReference:
         assert mu == pytest.approx(1.1874327230464770e-05, rel=1e-10, abs=0.0)
 
 
+@pytest.mark.filterwarnings("error")
 class TestExtremeSizes:
+    # Under warnings as errors: numpy must not warn on stderr, where the
+    # axial exponent overflows to inf (at MAX_SIZE) or a width to inf.
     @staticmethod
     def mu_row(ell_ax, ell_rad):
-        (row,) = _eval_point(
-            ("cooperativity", {"ell_ax": ell_ax, "ell_rad": ell_rad}, 1e-8, {})
-        )
+        (row,) = _eval_chunk(("cooperativity", [(ell_ax, ell_rad)], 1e-8, {}))
         return row
 
     def test_underflowing_radius_is_point_cloud_in_radius(self):
@@ -239,3 +250,178 @@ class TestExtremeSizes:
         row = self.mu_row(ell_ax, ell_rad)
         assert row["status"].startswith("error: cloud sizes must be <= 2.13392e+153")
         assert f"ell_ax={ell_ax}, ell_rad={ell_rad}" in row["status"]
+
+    @pytest.mark.parametrize("ell_ax, status", [
+        (math.nan, "cloud sizes must be finite, got ell_ax=nan, ell_rad=0.5"),
+        (math.inf, "cloud sizes must be finite, got ell_ax=inf, ell_rad=0.5"),
+        (-math.inf, "cloud sizes must be > 0, got ell_ax=-inf, ell_rad=0.5"),
+        (-1.0, "cloud sizes must be > 0, got ell_ax=-1.0, ell_rad=0.5"),
+        (0.0, "cloud sizes must be > 0, got ell_ax=0.0, ell_rad=0.5"),
+        (1e200, "cloud sizes must be <= 2.13392e+153 wavelengths, beyond which "
+                "(k ell)^2 overflows, got ell_ax=1e+200, ell_rad=0.5"),
+        (1e-320, "non-finite small_angle_estimate"),
+    ])
+    def test_error_row_texts(self, ell_ax, status):
+        row = self.mu_row(ell_ax, 0.5)
+        assert row["status"] == "error: " + status
+        assert math.isnan(row["residual"]) and "mu" not in row
+
+
+def quad_coherent_power(ell_ax, ell_rad, rel_tol=1e-10):
+    """coherent_power as scipy's quad (QUADPACK's qagp) integrated it: the
+    single-exponential integrand in math-module arithmetic, the same
+    breakpoints and the 200-interval limit."""
+    rad_sq, ax_sq = (TWO_PI * ell_rad) ** 2, (TWO_PI * ell_ax) ** 2
+
+    def integrand(u):
+        sin_sq = u * (2.0 - u)
+        return (1.0 + 0.5 * sin_sq) * math.exp(-rad_sq * sin_sq - ax_sq * u * u)
+
+    rad_width = 10.0 / (2.0 * rad_sq) if rad_sq else math.inf
+    front = min(10.0 / (TWO_PI * ell_ax), rad_width)
+    points = sorted(b for b in (front, 2.0 - rad_width) if 0.0 < b < 2.0)
+    val, _ = quad(integrand, 0.0, 2.0, points=points or None, epsabs=0.0,
+                  epsrel=rel_tol, limit=200)
+    return math.pi * val
+
+
+def log_uniform_clouds(count):
+    rng = np.random.default_rng(19)
+    return list(zip(10.0 ** rng.uniform(-2.0, 2.5, count),
+                    10.0 ** rng.uniform(-2.0, 1.5, count)))
+
+
+# The benchmark's mu grid: 250 ell_ax values at each of 14 ell_rad.
+BENCH_BANDS = [(ax, rad) for rad in np.geomspace(0.2, 5.0, 14)
+               for ax in np.geomspace(2.0, 50.0, 250)]
+
+
+class TestBatchedRule:
+    """The batched 21-point Gauss-Kronrod rule against `quad`, which ran
+    the same rule point by point before it."""
+
+    @pytest.mark.parametrize("clouds", [log_uniform_clouds(600), BENCH_BANDS],
+                             ids=["log-uniform", "bench-bands"])
+    def test_matches_quad(self, clouds):
+        mu, faults = cooperativity_column([CloudGeometry(*c) for c in clouds])
+        want = [min(quad_coherent_power(*c) / SINGLE_DIPOLE_POWER, 1.0)
+                for c in clouds]
+        assert faults == {}
+        np.testing.assert_allclose(mu, want, rtol=1e-8, atol=0.0)
+
+    def test_rule_is_exact_for_degree_31(self):
+        # 21 Kronrod points integrate polynomials up to degree 3 * 10 + 1.
+        g = ddmsim.geometry
+        nodes = np.concatenate([-g._XGK, [0.0], g._XGK])
+        weights = np.concatenate([g._WGK[:10], g._WGK[10:], g._WGK[:10]])
+        gauss, gauss_weights = np.polynomial.legendre.leggauss(10)
+        assert np.allclose(np.sort(gauss[gauss > 0])[::-1], g._XGK[g._GAUSS],
+                           rtol=0, atol=1e-15)
+        assert np.allclose(gauss_weights[gauss > 0][::-1], g._WG, rtol=0, atol=1e-15)
+        for degree in range(32):
+            exact = (1.0 - (-1.0) ** (degree + 1)) / (degree + 1)
+            assert weights @ nodes**degree == pytest.approx(exact, abs=1e-14)
+
+    def test_one_cloud_is_its_column_entry(self):
+        # Bit for bit: many of these clouds take 8 or more intervals, whose
+        # sum a pairwise reduction would round differently alone.
+        geoms = [CloudGeometry(*c) for c in log_uniform_clouds(600)]
+        mu, _ = cooperativity_column(geoms)
+        assert [cooperativity_mu(g) for g in geoms] == mu.tolist()
+
+    def test_cap_is_an_error_not_a_value(self, monkeypatch):
+        # An integrand that no 200 intervals resolve: each round bisects
+        # until the cap, and the estimate stays far above 1e-8.
+        calls = []
+        lobe = ddmsim.geometry._forward_lobe_integrand
+
+        def rough(u, rad_sq, ax_sq):
+            calls.append(u.shape[1])
+            return lobe(u, rad_sq, ax_sq) * (1.0 + 0.5 * np.sin(1e8 * u))
+
+        monkeypatch.setattr(ddmsim.geometry, "_forward_lobe_integrand", rough)
+        geom = CloudGeometry(ell_ax=22.5, ell_rad=0.5)  # three panels
+        with pytest.raises(QuadratureError) as info:
+            coherent_power(geom)
+        assert info.value.achieved_tol > 1e-8
+        assert str(info.value) == ("coherent-power quadrature reached relative "
+                                   f"error {info.value.achieved_tol:.3e}")
+        # The three panels, then one bisection a round up to 200 intervals.
+        assert calls == [3] + [2] * (ddmsim.geometry._LIMIT - 3)
+        (row,) = _eval_chunk(("cooperativity", [(22.5, 0.5)], 1e-8, {}))
+        assert row["status"] == f"error: {info.value}"
+        assert math.isnan(row["residual"]) and "mu" not in row
+
+
+def reference_mu_row(ell_ax, ell_rad):
+    """The row of one point as the per-point `mu` rows built it, with
+    quad's mu."""
+    point = {"ell_ax": ell_ax, "ell_rad": ell_rad}
+    try:
+        geom = CloudGeometry(ell_ax=float(ell_ax), ell_rad=float(ell_rad))
+        row = {"ell_ax": geom.ell_ax, "ell_rad": geom.ell_rad,
+               "mu": min(quad_coherent_power(geom.ell_ax, geom.ell_rad)
+                         / SINGLE_DIPOLE_POWER, 1.0),
+               "small_angle_estimate": 1.0 / (2.0 * math.pi * geom.ell_ax),
+               "residual": 0.0, "status": "ok"}
+        bad = [k for k, v in row.items() if isinstance(v, float) and not math.isfinite(v)]
+        if bad:
+            raise ValueError(f"non-finite {', '.join(bad)}")
+        return row
+    except Exception as exc:
+        return ddmsim.sweep._error_row(point, exc)
+
+
+SIZES = st.one_of(st.floats(1e-3, 1e3), st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-320, 1e-150, 1e150, MAX_SIZE, 1e200]))
+
+
+class TestMuRows:
+    """The batched `mu` rows against the per-point rows they replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(SIZES, min_size=1, max_size=6), st.lists(SIZES, min_size=1, max_size=4))
+    def test_rows_match_point_by_point(self, ell_ax, ell_rad):
+        rows = ddmsim.sweep._mu_rows(list(itertools.product(ell_ax, ell_rad)))
+        want = [reference_mu_row(ax, rad) for ax in ell_ax for rad in ell_rad]
+        for got, ref in zip(rows, want, strict=True):
+            assert got.keys() == ref.keys()
+            assert got.pop("mu", 1.0) == pytest.approx(ref.pop("mu", 1.0), rel=1e-8)
+            assert {k: np.float64(v).tobytes() if isinstance(v, float) else v
+                    for k, v in got.items()} == {
+                k: np.float64(v).tobytes() if isinstance(v, float) else v
+                for k, v in ref.items()}
+
+    def test_a_row_does_not_depend_on_its_batch(self, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        ell_ax = [22.5, math.nan, 1e-320, 2.0, -1.0, 1e200, 0.01, MAX_SIZE, 2.0]
+        ell_rad = [0.5, 1e-320, 20.0]
+        spec = SweepSpec.from_dict({"mode": "cooperativity",
+                                    "grids": {"ell_ax": ell_ax, "ell_rad": ell_rad}})
+        result = run(spec)
+        whole = format_csv(result)
+        alone = [ddmsim.sweep._mu_rows([point])[0]
+                 for point in itertools.product(ell_ax, ell_rad)]
+        assert whole == format_csv(dataclasses.replace(result, rows=alone))
+        assert whole == format_csv(run(spec, threads=2))
+        assert sum(r["status"] == "ok" for r in result.rows) == 15
+
+    def test_a_large_grid_is_its_small_chunks(self, monkeypatch):
+        # 10^5 points: cut at _MU_POINTS, or at 97, the rows are the same,
+        # and no call takes more than _MU_POINTS clouds.
+        sizes = []
+        column = ddmsim.sweep.cooperativity_column
+
+        def counted(geoms):
+            sizes.append(len(geoms))
+            return column(geoms)
+
+        monkeypatch.setattr(ddmsim.sweep, "cooperativity_column", counted)
+        spec = SweepSpec.from_dict({"mode": "cooperativity", "grids": {
+            "ell_ax": np.geomspace(1e-2, 10**2.5, 400).tolist(),
+            "ell_rad": np.geomspace(1e-2, 10**1.5, 250).tolist()}})
+        rows = run(spec).rows
+        assert len(rows) == 10**5 and all(r["status"] == "ok" for r in rows)
+        assert max(sizes) == ddmsim.sweep._MU_POINTS and sum(sizes) == 10**5
+        monkeypatch.setattr(ddmsim.sweep, "_MU_POINTS", 97)
+        assert run(spec).rows == rows

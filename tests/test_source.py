@@ -6,10 +6,11 @@ import pathlib
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ddmsim"
 
 # Imported but never read in its module: bench/spans.py traces
-# `ddmsim.sweep.liouvillian_rhs`, `.steady_state` and `.g2_zero` under
-# these names, and bench/gate.py wraps `.steady_state`.
+# `ddmsim.sweep.liouvillian_rhs`, `.steady_state`, `.g2_zero` and
+# `.cooperativity_mu` under these names, and bench/gate.py wraps
+# `.steady_state`.
 HELD_IMPORTS = {"ddmsim.sweep.liouvillian_rhs", "ddmsim.sweep.steady_state",
-                "ddmsim.sweep.g2_zero"}
+                "ddmsim.sweep.g2_zero", "ddmsim.sweep.cooperativity_mu"}
 
 
 def unread_imports(path):

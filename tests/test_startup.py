@@ -2,8 +2,8 @@
 
 Each scipy subpackage is imported inside the function that calls it, so
 importing the CLI and building its parser loads numpy and no scipy
-module, and `phase-diagram`, `steady`, `screening`, `fit-alpha` and
-`dynamics` up to N = 47, which never call scipy, run without it. Every
+module, and `phase-diagram`, `steady`, `screening`, `mu`, `fit-alpha`
+and `dynamics` up to N = 47, which never call scipy, run without it. Every
 check starts a fresh interpreter, because this test process has loaded
 scipy already.
 """
@@ -67,6 +67,7 @@ def test_parser_loads_no_scipy(tmp_path):
     ["phase-diagram", "--n-atoms", "4,8,16", "--beta", "0.5,2", "--out", "t.csv"],
     ["steady", "--n-atoms", "4,8", "--rabi", "1,3", "--out", "t.csv"],
     ["screening", "--n-atoms", "10,1000", "--beta", "0.5,1.5", "--out", "t.csv"],
+    ["mu", "--ell-ax", "1,5", "--ell-rad", "0.5", "--out", "t.csv"],
     ["fit-alpha", "--input", "rates.csv"],
     ["--help"],
     # Up to the largest dense sector the operator is a numpy array.
@@ -80,15 +81,14 @@ def test_subcommand_loads_no_scipy(tmp_path, argv):
 
 
 def test_scipy_subcommands_still_run(tmp_path):
-    # dynamics and fit-omega-eff share the trace; mu stands alone.
-    # dynamics at N = 60 takes scipy's expm_multiply.
+    # dynamics and fit-omega-eff share the trace; dynamics at N = 60
+    # takes scipy's expm_multiply.
     for argv in (
         ["dynamics", "--n-atoms", "4", "--rabi", "3", "--t-final", "8",
          "--n-samples", "81", "--out", "trace.csv"],
         ["fit-omega-eff", "--input", "trace.csv"],
         ["dynamics", "--n-atoms", "60", "--rabi", "40", "--t-final", "1",
          "--n-samples", "3", "--out", "large.csv"],
-        ["mu", "--ell-ax", "1,5", "--ell-rad", "0.5", "--out", "mu.csv"],
     ):
         code, _, pins = run_probe(tmp_path, *argv)
         assert (code, pins) == (0, 1), argv

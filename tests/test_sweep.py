@@ -401,7 +401,7 @@ class TestLayerRouting:
     is where the benchmark's tracer and correctness gate wrap them."""
 
     LAYERS = ("steady_state", "steady_columns", "evolve", "observables", "g2_zero",
-              "solve_x", "cooperativity_mu")
+              "solve_x", "cooperativity_column")
 
     @pytest.mark.parametrize("doc, reached", [
         ({"mode": "dynamics", "grids": {"n_atoms": [2], "rabi": [1.0]},
@@ -415,8 +415,9 @@ class TestLayerRouting:
          {"steady_columns": 1}),
         ({"mode": "screening_curve", "grids": {"n_atoms": [20], "beta": [0.5]}},
          {"solve_x": 1}),
+        # So does mu: one `cooperativity_column` call per chunk.
         ({"mode": "cooperativity", "grids": {"ell_ax": [2.0], "ell_rad": [0.5]}},
-         {"cooperativity_mu": 1}),
+         {"cooperativity_column": 1}),
     ])
     def test_mode_calls_layers_by_module_name(self, monkeypatch, doc, reached):
         calls = dict.fromkeys(self.LAYERS, 0)
