@@ -54,8 +54,7 @@ _PHASES = np.array([1, 1j, -1, -1j])
 class _Ladder(NamedTuple):
     """The read-only O(N) tables of one ladder size (`_ladder`).
 
-    a[i] = A_{m = i - S} for i = 0..N, with a[N] = A_S = 0, and
-    am1[i] = A_{m-1}, with am1[0] = 0.
+    a[i] = A_{m = i - S} for i = 0..N, with a[N] = A_S = 0.
     drain_base[i] = A_{m-1}^2, whose first entry is -0.0, so that the
     drain -(gamma/2) drain_base of `_rates` starts at +0.0 (a negative
     times -0.0). The rows of weights, m, A_{m-1}^2 and
@@ -65,7 +64,6 @@ class _Ladder(NamedTuple):
     """
 
     a: np.ndarray
-    am1: np.ndarray
     drain_base: np.ndarray
     weights: np.ndarray
     gauge: np.ndarray
@@ -88,9 +86,9 @@ def _ladder(n_atoms: int) -> _Ladder:
     drain_base = am1_sq.copy()
     drain_base[0] = -0.0
     weights = np.stack((m, am1_sq, am1_sq * am2**2))
-    for array in (a, am1, drain_base, weights):
+    for array in (a, drain_base, weights):
         array.flags.writeable = False
-    return _Ladder(a, am1, drain_base, weights,
+    return _Ladder(a, drain_base, weights,
                    _phase_view(n_atoms + 1, inverse=False),
                    _phase_view(n_atoms + 1, inverse=True))
 
@@ -217,8 +215,7 @@ def _rates(params, tables=None):
     return 0.5 * params.rabi * tables.a, -0.5 * params.gamma * tables.drain_base
 
 
-def _gauged_rhs(x: np.ndarray, params: ModelParams,
-                symmetric: bool = False, work: np.ndarray | None = None) -> np.ndarray:
+def _gauged_rhs(x: np.ndarray, params: ModelParams, symmetric: bool = False) -> np.ndarray:
     """The resonant master equation on a gauged x_{m,m'} = i^{m-m'} rho_{m,m'}.
 
     Every coefficient is real. Drive couples x_{m,m'} to its four
@@ -230,46 +227,28 @@ def _gauged_rhs(x: np.ndarray, params: ModelParams,
     The stencil is a row half and its mirror: L x = H(x) + H(x^T)^T,
     where H holds the terms along m and half of the feed. For a
     symmetric x (symmetric=True; every resonant steady state is one in
-    the gauge) the mirror is H(x)^T, so H is applied once. work, if
-    given, is a contiguous buffer of 2 x.size elements of x's type that
-    holds H and the scratch, and the result is a view into it.
+    the gauge) the mirror is H(x)^T, so H is applied once. Every product
+    goes through one scratch array, which then takes the sum.
     """
-    tables = _ladder(params.n_atoms)
-    a = tables.a[:-1]  # A_m, m = -S..S-1
+    a = _ladder(params.n_atoms).a[:-1]  # A_m, m = -S..S-1
     drive, drain = _rates(params)
     drive, drain = drive[:-1, None], drain[:, None]
     half_gamma_a = (0.5 * params.gamma * a)[:, None]
 
-    am1, end = tables.am1, params.n_atoms * (params.n_atoms + 1) - 1
-
-    def row_half(y, h, tmp):
-        np.multiply(drain, y, out=h)
-        # The feed from x_{m+1,m'+1} is formed on whole rows 1..N of y:
-        # column l + 1 of feed row j holds the term of h[j, l], so that it
-        # is added to h in one flat pass. Column 0 then lands on h[j, N],
-        # past the last term of its row, and holds -0.0, which adds
-        # nothing to any value.
-        feed = tmp[:-1]
-        np.multiply(y[1:], am1, out=feed)
+    def row_half(y, tmp):
+        h = drain * y
+        feed = tmp[:-1, :-1]
+        np.multiply(y[1:, 1:], a, out=feed)
         feed *= half_gamma_a
-        feed[:, 0] = -0.0
-        h.reshape(-1)[:end] += tmp.reshape(-1)[1:end + 1]
+        h[:-1, :-1] += feed
         h[1:] += np.multiply(drive, y[:-1], out=tmp[1:])
         h[:-1] -= np.multiply(drive, y[1:], out=tmp[:-1])
         return h
 
-    # Every product goes through one scratch array, which then takes the
-    # sum: from about N = 125 a fresh (N+1)^2 temporary per term is a
-    # fresh memory mapping, whose page faults cost more than the
-    # arithmetic.
-    if work is None:
-        work = np.empty((2, *x.shape), np.result_type(x, a))
-    h, tmp = work.reshape(2, *x.shape)
-    row_half(x, h, tmp)
-    if symmetric:
-        return np.add(h, h.T, out=tmp)
-    h += row_half(x.T, np.empty_like(h), tmp).T
-    return h
+    tmp = np.empty(x.shape, np.result_type(x, a))
+    half = row_half(x, tmp)
+    mirror = half if symmetric else row_half(x.T, tmp)
+    return np.add(half, mirror.T, out=tmp)
 
 
 def evolve(
@@ -304,7 +283,7 @@ def evolve(
         raise ValueError(f"t_final must be finite and > 0, got {t_final}")
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-    if n_samples < 2 or n_samples != int(n_samples):
+    if not 2 <= n_samples < np.inf or n_samples != int(n_samples):
         raise ValueError(f"n_samples must be whole and >= 2, got {n_samples}")
     n = state0.n_atoms
     dim, n_samples = n + 1, int(n_samples)
@@ -557,67 +536,50 @@ def _steady_populations(chunk: _Chunk, r) -> np.ndarray:
     return pops
 
 
-# Columns per block of the cumulative product in `_resonant_steady_rho`:
-# a block of columns up to l runs its product over rows 0..l only.
-_CHAIN_BLOCK = 64
+def _closed_form(chunk: _Chunk) -> tuple[np.ndarray, np.ndarray]:
+    """(pops, steps) of the closed form in the slots of chunk: the
+    populations p (`_steady_populations`) and A_l/r, with 0 in each
+    last slot, from which R[l, l'] = p_l' prod_{k=l}^{l'-1} A_k/r
+    above the diagonal (`_resonant_steady_rho`).
+
+    The undriven ground state is dark: p = (1, 0, ...), and 1/r = 0
+    clears R off the diagonal. A subnormal r makes 1/r inf, a faulted
+    point, and A_N/r nan, which the exact 0 of each last slot replaces.
+    A_l/r is taken as A_l * (1/r), which is how numpy rounds the
+    complex A_l/g, so the un-gauged R has the values of the complex
+    closed form to the bit.
+    """
+    dark = chunk.rabi == 0.0
+    r = np.where(dark, np.inf, chunk.rabi / chunk.gamma)
+    pops = _steady_populations(chunk, r)
+    pops[dark] = 0.0
+    pops[chunk.first[dark[chunk.first]]] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = chunk.a * (1.0 / r)
+    steps[chunk.last] = 0.0
+    return pops, steps
 
 
-def _resonant_steady_rho(params: ModelParams, work: np.ndarray) -> np.ndarray:
+def _resonant_steady_rho(params: ModelParams) -> np.ndarray:
     """Closed-form resonant steady state rho ~ Y^+ Y, Y = (1 - S+/g)^-1,
     in the gauge: the real symmetric R_{m,m'} = i^{m-m'} rho_{m,m'}.
 
     g = i*rabi/gamma (Puri & Lawande, Phys. Lett. A 72, 200 (1979);
     Carmichael, J. Phys. B 13, 3551 (1980)). With r = rabi/gamma and the
-    populations p of `_steady_populations`, the gauged state is real,
-    positive and semiseparable: above the diagonal
-    R[j, l] = p_l prod_{k=j}^{l-1} A_k/r, the product taken from k = l - 1
-    down.
-
-    The products are built as chains, row k of column l holding
-    R[l - k, l], so that every chain starts in row 0 with p_l and the
-    rows past a chain's end (k > l) are never read: one cumulative
-    product down the columns, over rows 0..l of each block of columns,
-    with no mask. One strided copy lays each chain's mirror in the rows
-    before, and R is one strided view of the two, copied out.
-
-    work is a flat float buffer of 3 (N+1)^2 elements: the chains take
-    the first 2 (N+1)^2 and R, the returned view, the rest.
+    populations p and steps A_l/r of `_closed_form`, the gauged state is
+    real, positive and semiseparable: above the diagonal
+    R[j, l] = p_l prod_{k=j}^{l-1} A_k/r, the product taken from
+    k = l - 1 down. It is one reverse cumulative product down the
+    columns of ones below the diagonal, p_l on it and A_j/r above it,
+    then mirrored.
     """
-    n = params.n_atoms
-    dim = n + 1
-    a = _ladder(n).a[:-1]
-    r = params.rabi / params.gamma
-    pops = _steady_populations(_chunk([params]), r)
-
-    # steps[n + l - k] is the k-th factor of chain l, A_{l-k}/r, and ones
-    # pad the rows past the chain's end. A_k/r is taken as A_k * (1/r),
-    # which is how numpy rounds the complex A_k/g, so the un-gauged R has
-    # the values of the complex closed form to the bit.
-    steps = np.empty(2 * n)
-    steps[:n] = 1.0
-    np.multiply(a, 1.0 / r, out=steps[n:])
-    step = steps.itemsize
-    factors = np.ndarray((n, dim), float, steps, offset=(n - 1) * step,
-                         strides=(-step, step))  # rows k = 1..N
-    chains = work[n * dim:(n + dim) * dim].reshape(dim, dim)
-    chains[0] = pops
-    for c0 in range(0, dim, _CHAIN_BLOCK):
-        c1 = min(c0 + _CHAIN_BLOCK, dim)
-        block = chains[:c1, c0:c1]
-        block[1:] = factors[:c1 - 1, c0:c1]
-        np.multiply.accumulate(block, 0, out=block)
-    # Row n - k of `work` holds chain row k shifted left by k: entry l is
-    # R[l + k, l] = R[l, l + k]. Entries past the ladder copy whatever
-    # lies there, and nothing reads them.
-    mirror = np.ndarray((n, dim), float, work, offset=((n + 1) * dim + 1) * step,
-                        strides=((dim + 1) * step, step))
-    np.copyto(np.ndarray((n, dim), float, work, offset=(n - 1) * dim * step,
-                         strides=(-dim * step, step)), mirror)
-    # R[j, l] = work[(n + l - j) dim + l]: chain row l - j of column l
-    # for j <= l, the mirror row for j > l.
-    gauged = work[2 * dim * dim:].reshape(dim, dim)
-    np.copyto(gauged, np.ndarray((dim, dim), float, work, offset=n * dim * step,
-                                 strides=(-dim * step, (dim + 1) * step)))
+    pops, steps = _closed_form(_chunk([params]))
+    dim = params.n_atoms + 1
+    below = np.tri(dim, k=-1, dtype=bool)
+    gauged = np.where(below, 1.0, steps[:, None])
+    gauged.flat[::dim + 1] = pops
+    np.multiply.accumulate(gauged[::-1], 0, out=gauged[::-1])
+    np.copyto(gauged, gauged.T, where=below)
     return gauged
 
 
@@ -633,41 +595,27 @@ def steady_state(params: ModelParams, resid_tol: float = _RESID_TOL) -> DickeLad
     that `liouvillian_rhs` applies. O(N^2) in time and memory, tested up
     to N = 2000 at beta = 0.01..100. A Liouvillian residual max |L rho|
     above resid_tol (or a non-finite one) raises a RuntimeError; the
-    returned state carries that residual in its `residual` field.
+    returned state carries that residual in its `residual` field. The
+    undriven state (rabi = 0) is the dark ground state, residual 0.
 
-    Each call makes one allocation of 3 (N+1)^2 floats: the chains of
-    `_resonant_steady_rho`, R and the stencil's scratch share it, and
-    rho is a view of its first two thirds. Fresh (N+1)^2 temporaries
-    would each cost a fresh memory mapping from about N = 125, whose
-    page faults cost more than the arithmetic; one buffer is reused
-    from the heap call after call. About 0.15 s at N = 2000 on 2 cores.
+    At most three (N+1)^2 float arrays are held at once (R and the
+    stencil's two, then R and the complex rho), and the returned state
+    holds only rho: 64 MB at N = 2000, of a 96 MB peak. No CLI row calls
+    this; `steady_columns` makes them.
     """
     params.require_resonant()
-    n = params.n_atoms
-    if params.rabi == 0.0:
-        # The undriven ground state is dark: L rho = 0 exactly.
-        state = DickeLadderState.ground(n)
-        state.residual = 0.0
-        return state
-    dim = n + 1
-    work = np.empty(3 * dim * dim)
-    gauged = _resonant_steady_rho(params, work)
-    scratch = work[:2 * dim * dim]
-    rhs = _gauged_rhs(gauged, params, symmetric=True, work=scratch)
+    gauged = _resonant_steady_rho(params)
+    rhs = _gauged_rhs(gauged, params, symmetric=True)
     # max |rhs|, as abs() of the larger of max and -min: that is >= 0
     # except for -0.0, which abs() turns into 0.0.
     residual = abs(max(float(np.maximum.reduce(rhs, None)),
                        -float(np.minimum.reduce(rhs, None))))
-    rho = scratch.view(complex).reshape(dim, dim)
-    np.copyto(rho, gauged)
-    rho *= _gauge(dim, inverse=True)
-    state = DickeLadderState(n, rho)
-    state.residual = residual
+    del rhs  # so that rho and R are then the only (N+1)^2 arrays
     if not residual <= resid_tol:
-        raise RuntimeError(
-            f"steady-state residual {residual:.3e} exceeds {resid_tol:.1e}"
-        )
-    return state
+        raise RuntimeError(f"steady-state residual {residual:.3e} exceeds {resid_tol:.1e}")
+    rho = gauged.astype(complex)
+    rho *= _gauge(params.n_atoms + 1, inverse=True)
+    return DickeLadderState(params.n_atoms, rho, residual=residual)
 
 
 def _weighted_sums(weights: np.ndarray, pops: np.ndarray) -> np.ndarray:
@@ -739,18 +687,7 @@ def steady_columns(group: Sequence[ModelParams]):
     if any(p.detuning != 0.0 for p in group):
         raise ValueError("steady_columns takes resonant params")
     chunk = _chunk(group)
-    # The undriven ground state is dark: p = (1, 0, ...), and 1/r = 0
-    # clears R off the diagonal.
-    dark = chunk.rabi == 0.0
-    r = np.where(dark, np.inf, chunk.rabi / chunk.gamma)
-    pops = _steady_populations(chunk, r)
-    pops[dark] = 0.0
-    pops[chunk.first[dark[chunk.first]]] = 1.0
-    # r subnormal: 1/r is inf, a faulted point, and A_N/r is nan, which
-    # the exact 0 of each last slot replaces.
-    with np.errstate(over="ignore", invalid="ignore"):
-        steps = chunk.a * (1.0 / r)  # A_l/r, as the chains take it
-    steps[chunk.last] = 0.0
+    pops, steps = _closed_form(chunk)
     m_sum, spsm, g2_num = _point_sums(chunk.weights * pops, chunk)
     s_z = m_sum / ((chunk.sizes - 1) / 2.0)
     # <S-> = sum_l A_l rho_{l+1,l}, rho_{l+1,l} = -i R[l, l+1], summed as

@@ -558,9 +558,9 @@ class TestPropagator:
         with pytest.raises(RuntimeError, match="trace drift"):
             evolve(DickeLadderState.ground(3), ModelParams(n_atoms=3, rabi=2.0), 1.0)
 
-    @pytest.mark.parametrize("n_samples", [0, 1, 2.5])
+    @pytest.mark.parametrize("n_samples", [0, 1, 2.5, math.inf, math.nan])
     def test_rejects_bad_sample_count(self, n_samples):
-        with pytest.raises(ValueError, match="n_samples"):
+        with pytest.raises(ValueError, match="n_samples must be whole and >= 2"):
             evolve(DickeLadderState.ground(2), ModelParams(n_atoms=2, rabi=1.0),
                    1.0, n_samples=n_samples)
 
@@ -918,13 +918,14 @@ class TestG2:
 
 # --- one steady point at the cost of its arithmetic --------------------------
 #
-# References: the steady-state path as it was before the per-N tables,
-# the chained cumulative product and the single work buffer: rates and
-# weights rebuilt per call, the closed form as one reverse cumulative
-# product down each column with a mask of ones below the diagonal, the
-# stencil on fresh temporaries, and |.|.max() for the residual. The new
-# code keeps every product's operands and their order, so it must match
-# these to the bit.
+# References: the steady-state path as it was before the per-N tables:
+# rates and weights rebuilt per call, the closed form as one reverse
+# cumulative product down each column with a mask of ones below the
+# diagonal, the stencil with one scratch array, and |.|.max() for the
+# residual. The closed form and the stencil are built this way again, on
+# the cached tables and the flat (pops, steps) of the O(N) rows; every
+# product keeps its operands and their order, so each must match these
+# to the bit.
 
 def reference_coupling(n):
     s = n / 2.0
@@ -1058,16 +1059,14 @@ def population_rescales(params):
 
 
 class TestSteadyPointBitForBit:
-    """The steady point built from per-N tables in one buffer, against the
-    per-call construction it replaces, byte for byte."""
+    """The steady point built from the per-N tables and `_closed_form`,
+    against the per-call construction, byte for byte."""
 
     @pytest.mark.parametrize("n", PINNED_N)
     def test_steady_state_matches_reference(self, n):
         for params in pinned_params(n):
             rho, residual, gauged, rhs = reference_steady_state(params)
-            work = np.empty(3 * (n + 1) ** 2)
-            assert (ddmsim.ladder._resonant_steady_rho(params, work).tobytes()
-                    == gauged.tobytes())
+            assert ddmsim.ladder._resonant_steady_rho(params).tobytes() == gauged.tobytes()
             assert _gauged_rhs(gauged, params, symmetric=True).tobytes() == rhs.tobytes()
             state = steady_state(params)
             assert state.rho.tobytes() == rho.tobytes(), params
@@ -1120,14 +1119,22 @@ class TestSteadyPointBitForBit:
             for mine, ref in zip(got, reference_observables_of(traj)):
                 assert mine.tobytes() == ref.tobytes()
 
-    def test_one_allocation_holds_rho_and_its_scratch(self):
+    def test_state_holds_only_rho(self):
         n = 140
         state = steady_state(ModelParams(n_atoms=n, rabi=0.5 * 1.1 * n))
-        base = state.rho.base
-        while base.base is not None:
-            base = base.base
-        assert base.nbytes == 3 * (n + 1) ** 2 * 8
+        assert owned_nbytes([state.rho]) == 16 * (n + 1) ** 2
         assert state.rho.flags.c_contiguous
+
+    def test_dark_and_subnormal_drive(self):
+        # The dark point and a drive whose 1/r is huge (1e-300) or inf
+        # (1e-310) take the closed form's shared path, as the rows do.
+        state = steady_state(ModelParams(n_atoms=10, rabi=0.0))
+        assert np.array_equal(state.rho, DickeLadderState.ground(10).rho)
+        assert state.residual == 0.0
+        for rabi in (1e-300, 1e-310):
+            with pytest.raises(RuntimeError) as error:
+                steady_state(ModelParams(n_atoms=10, rabi=rabi))
+            assert str(error.value) == "steady-state residual nan exceeds 1.0e-10"
 
 
 def owned_nbytes(arrays):
@@ -1159,7 +1166,6 @@ class TestLadderTables:
         tables = _ladder(n)
         a = reference_coupling(n)
         assert tables.a.tobytes() == a.tobytes()
-        assert tables.am1.tobytes() == np.concatenate(([0.0], a[:-1])).tobytes()
         drive, drain = reference_rates(ModelParams(n_atoms=n, rabi=1.3, gamma=2.5))
         got_drive, got_drain = ddmsim.ladder._rates(ModelParams(n_atoms=n, rabi=1.3,
                                                                gamma=2.5))
@@ -1247,10 +1253,7 @@ def column_inputs(params):
     """The chunk of params alone, and p and A_l/r (0 in the last slot) in
     its slots, as `steady_columns` forms them."""
     chunk = ddmsim.ladder._chunk([params])
-    r = params.rabi / params.gamma
-    steps = chunk.a * (1.0 / r)
-    steps[-1] = 0.0
-    return chunk, ddmsim.ladder._steady_populations(chunk, r), steps
+    return chunk, *ddmsim.ladder._closed_form(chunk)
 
 
 def bits(value):
@@ -1283,8 +1286,7 @@ class TestSteadyColumns:
                                   obs.gamma_sr, g2_zero(state))], params
             # The band check against the full stencil: both are round-off
             # of terms no larger than about S(S+1) max p.
-            work = np.empty(3 * (n + 1) ** 2)
-            gauged = ddmsim.ladder._resonant_steady_rho(params, work)
+            gauged = ddmsim.ladder._resonant_steady_rho(params)
             rhs = _gauged_rhs(gauged.copy(), params, symmetric=True)
             scale = 0.25 * n * (n + 2) * gauged.diagonal().max()
             assert abs(cols["residual"][k] - band_of(rhs)) <= 128 * eps * scale, params
@@ -1316,8 +1318,7 @@ class TestSteadyColumns:
         # Unsorted and repeated N: runs of one point and of several.
         mixed = [(300, 0.5), (7, 1e-3), (300, 1.5), (2000, 10.0), (2000, 1e4), (1, 2.0),
                  (7, 1e-3), (7, 60.0), (300, 150.0), (1, 0.3)]
-        gauged = ddmsim.ladder._resonant_steady_rho(ModelParams(n_atoms=300, rabi=1.5),
-                                                    np.empty(3 * 301**2))
+        gauged = ddmsim.ladder._resonant_steady_rho(ModelParams(n_atoms=300, rabi=1.5))
         for points in (one_n, mixed):
             group = [ModelParams(n_atoms=n, rabi=rabi) for n, rabi in points]
             chunk = chunk_of(group)
@@ -1373,7 +1374,7 @@ class TestSteadyColumns:
         monkeypatch.setattr(ddmsim.ladder, "_steady_populations", shaken)
         for beta in (0.3, 1.0, 2.75):
             params = ModelParams(n_atoms=n, rabi=0.5 * beta * n * gamma, gamma=gamma)
-            gauged = ddmsim.ladder._resonant_steady_rho(params, np.empty(3 * (n + 1) ** 2))
+            gauged = ddmsim.ladder._resonant_steady_rho(params)
             want = band_of(_gauged_rhs(gauged.copy(), params, symmetric=True))
             chunk, _, steps = column_inputs(params)
             got = ddmsim.ladder._band_residual(chunk, gauged.diagonal(), steps)
