@@ -5,9 +5,10 @@ the semi-classical (mean-field) limit with its screening equation, the
 free-space cooperativity geometry, and fitting utilities for extracting
 effective Rabi frequencies and power-law exponents.
 
-All rates are in units of the single-atom decay rate (gamma = 1), all
-times in units of 1/gamma, and all lengths in units of the transition
-wavelength.
+All rates are in units of the single-atom decay rate gamma, all times
+in units of 1/gamma, and all lengths in units of the transition
+wavelength. Another decay rate gamma' only rescales time,
+L(rabi, gamma') = gamma' L(rabi/gamma', 1), so no model takes one.
 
 The package namespace holds only the version and the three names below;
 everything else is imported from its submodule (ddmsim.ladder,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from functools import cache
 
@@ -36,7 +37,6 @@ from ddmsim.sweep import (
     AllPointsFailedError,
     ConfigError,
     SweepSpec,
-    _real,
     format_csv,
     run,
     write_csv,
@@ -57,6 +57,14 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ConfigError(message)
+
+
+def _real(value) -> float:
+    """value as a float; nan if it is not a number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return math.nan
 
 
 def _float_list(text: str):
@@ -85,7 +93,7 @@ def _add_sweep_parser(sub, name: str, mode):
         span = p.add_mutually_exclusive_group()
         span.add_argument("--t-final", type=float, help="pulse duration in 1/gamma")
         span.add_argument("--t-final-ns", type=float, help="pulse duration in ns")
-        p.add_argument("--gamma-mhz", type=float, default=DEFAULT_GAMMA_MHZ,
+        p.add_argument("--gamma-mhz", type=float,
                        help="angular MHz decay rate for --t-final-ns (default 2*pi*6)")
     if "n_samples" in mode.settings:
         p.add_argument("--n-samples", type=int, help="samples per dynamics trace")
@@ -132,8 +140,14 @@ def _run_sweep_command(args) -> int:
         raise ConfigError(f"config mode {doc['mode']!r} does not match "
                           f"subcommand mode {args.mode!r}")
     flags = {k: v for k, v in vars(args).items() if v is not None}
+    if "gamma_mhz" in flags:
+        if "t_final_ns" not in flags:
+            raise ConfigError("--gamma-mhz is read only with --t-final-ns")
+        if not 0 < flags["gamma_mhz"] < math.inf:
+            raise ConfigError(f"--gamma-mhz must be finite and > 0, got {flags['gamma_mhz']}")
     if "t_final_ns" in flags:
-        flags["t_final"] = flags["t_final_ns"] * 1e-3 * flags["gamma_mhz"]
+        gamma_mhz = flags.get("gamma_mhz", DEFAULT_GAMMA_MHZ)
+        flags["t_final"] = flags["t_final_ns"] * 1e-3 * gamma_mhz
     if "tol" in flags:  # a top-level key, not a setting
         doc["tol"] = flags.pop("tol")
     mode = SWEEP_MODES[args.mode]

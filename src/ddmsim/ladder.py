@@ -3,10 +3,10 @@
 The density matrix of N driven two-level atoms that couple identically to
 the field stays inside the maximal-spin ladder |S = N/2, m>, m = -S..S.
 This module evolves rho_{m,m'} under the master equation of resonant
-drive and collective decay, computes exact steady states, and extracts
-the collective observables (magnetization, dipole, emission rate,
-intensity correlations). Detuned drive is left to the 2^N oracle
-(`ddmsim.oracle`): every solver here rejects it.
+drive and collective decay, in units of the single-atom decay rate,
+computes exact steady states, and extracts the collective observables
+(magnetization, dipole, emission rate, intensity correlations). A
+detuned drive is the 2^N oracle's alone (`ddmsim.oracle`).
 
 Storage convention: rho is a dense (N+1) x (N+1) complex array, index
 i = m + S running from 0 (all atoms in the ground state) to N (all
@@ -55,16 +55,15 @@ class _Ladder(NamedTuple):
     """The read-only O(N) tables of one ladder size (`_ladder`).
 
     a[i] = A_{m = i - S} for i = 0..N, with a[N] = A_S = 0.
-    drain_base[i] = A_{m-1}^2, whose first entry is -0.0, so that the
-    drain -(gamma/2) drain_base of `_rates` starts at +0.0 (a negative
-    times -0.0). The rows of weights, m, A_{m-1}^2 and
+    drain[i] = -A_{m-1}^2/2, the decay out of level m, with +0.0 first.
+    The rows of weights, m, A_{m-1}^2 and
     A_{m-1}^2 A_{m-2}^2, weigh the populations in <S_z>, <S+S-> and
     <S+S+S-S->. gauge and gauge_inverse are the (N+1) x (N+1) phase
     views of `_gauge`.
     """
 
     a: np.ndarray
-    drain_base: np.ndarray
+    drain: np.ndarray
     weights: np.ndarray
     gauge: np.ndarray
     gauge_inverse: np.ndarray
@@ -83,12 +82,12 @@ def _ladder(n_atoms: int) -> _Ladder:
     padded = np.concatenate(([0.0, 0.0], a[:-1]))
     am2, am1 = padded[:-1], padded[1:]
     am1_sq = am1**2
-    drain_base = am1_sq.copy()
-    drain_base[0] = -0.0
+    drain = -0.5 * am1_sq
+    drain[0] = 0.0
     weights = np.stack((m, am1_sq, am1_sq * am2**2))
-    for array in (a, drain_base, weights):
+    for array in (a, drain, weights):
         array.flags.writeable = False
-    return _Ladder(a, drain_base, weights,
+    return _Ladder(a, drain, weights,
                    _phase_view(n_atoms + 1, inverse=False),
                    _phase_view(n_atoms + 1, inverse=True))
 
@@ -194,8 +193,7 @@ def liouvillian_rhs(state: DickeLadderState, params: ModelParams) -> np.ndarray:
 
 
 def _require_ladder(state: DickeLadderState, params: ModelParams) -> None:
-    """Raise ValueError unless params are resonant and of the state's N."""
-    params.require_resonant()
+    """Raise ValueError unless params are of the state's N."""
     if params.n_atoms != state.n_atoms:
         raise ValueError(
             f"state has N = {state.n_atoms} but params have N = {params.n_atoms}"
@@ -205,14 +203,14 @@ def _require_ladder(state: DickeLadderState, params: ModelParams) -> None:
 def _rates(params, tables=None):
     """The ladder coefficients of the master equation, at i = m + S:
     drive[i] = (rabi/2) A_m, the drive between m and m + 1 (drive[N] = 0),
-    and drain[i] = -(gamma/2) A_{m-1}^2, the decay out of level m.
+    and drain[i] = -A_{m-1}^2/2, the decay out of level m (`_Ladder`).
 
     tables defaults to the `_ladder` of params. A `_Chunk` passes itself
-    as both: its rabi and gamma are given slot by slot.
+    as both: its rabi is given slot by slot.
     """
     if tables is None:
         tables = _ladder(params.n_atoms)
-    return 0.5 * params.rabi * tables.a, -0.5 * params.gamma * tables.drain_base
+    return 0.5 * params.rabi * tables.a, tables.drain
 
 
 def _gauged_rhs(x: np.ndarray, params: ModelParams, symmetric: bool = False) -> np.ndarray:
@@ -221,8 +219,8 @@ def _gauged_rhs(x: np.ndarray, params: ModelParams, symmetric: bool = False) -> 
     Every coefficient is real. Drive couples x_{m,m'} to its four
     nearest neighbours, (rabi/2)(A_{m-1} x_{m-1,m'} - A_m x_{m+1,m'}
     + A_{m'-1} x_{m,m'-1} - A_{m'} x_{m,m'+1}); collective decay feeds
-    each element from x_{m+1,m'+1} at rate gamma A_m A_{m'} and drains
-    it at (gamma/2)(A_{m-1}^2 + A_{m'-1}^2). x may be real or complex.
+    each element from x_{m+1,m'+1} at rate A_m A_{m'} and drains it at
+    (A_{m-1}^2 + A_{m'-1}^2)/2. x may be real or complex.
 
     The stencil is a row half and its mirror: L x = H(x) + H(x^T)^T,
     where H holds the terms along m and half of the feed. For a
@@ -233,13 +231,13 @@ def _gauged_rhs(x: np.ndarray, params: ModelParams, symmetric: bool = False) -> 
     a = _ladder(params.n_atoms).a[:-1]  # A_m, m = -S..S-1
     drive, drain = _rates(params)
     drive, drain = drive[:-1, None], drain[:, None]
-    half_gamma_a = (0.5 * params.gamma * a)[:, None]
+    half_a = (0.5 * a)[:, None]
 
     def row_half(y, tmp):
         h = drain * y
         feed = tmp[:-1, :-1]
         np.multiply(y[1:, 1:], a, out=feed)
-        feed *= half_gamma_a
+        feed *= half_a
         h[:-1, :-1] += feed
         h[1:] += np.multiply(drive, y[:-1], out=tmp[1:])
         h[:-1] -= np.multiply(drive, y[1:], out=tmp[:-1])
@@ -343,7 +341,7 @@ def _sector_operator(params: ModelParams):
     dl = np.array([0, 1, 0, 0, -1, 1])
     coeff = np.array([
         drain[j] + drain[l],  # decay drain
-        params.gamma * (a[l] * a[j]),  # decay feed
+        a[l] * a[j],  # decay feed
         drive[j - 1], -drive[j], drive[l - 1], -drive[l],
     ])
     term, rows = np.nonzero(coeff)
@@ -443,9 +441,9 @@ class _Chunk(NamedTuple):
 
     Point k takes the N_k + 1 consecutive slots first[k]..last[k], one
     per level l = 0..N_k. Points of equal N that follow each other form a
-    run, and runs lists (N + 1, points) for each. a, drain_base and
-    weights hold each point's `_Ladder` tables in its slots, so A_N = 0
-    in every last slot. rabi and gamma are each point's, slot by slot.
+    run, and runs lists (N + 1, points) for each. a, drain and weights
+    hold each point's `_Ladder` tables in its slots, so A_N = 0 in every
+    last slot. rabi is each point's, slot by slot.
     """
 
     runs: list
@@ -453,10 +451,9 @@ class _Chunk(NamedTuple):
     first: np.ndarray
     last: np.ndarray
     a: np.ndarray
-    drain_base: np.ndarray
+    drain: np.ndarray
     weights: np.ndarray
     rabi: np.ndarray
-    gamma: np.ndarray
 
 
 def _chunk(group: Sequence[ModelParams]) -> _Chunk:
@@ -465,11 +462,11 @@ def _chunk(group: Sequence[ModelParams]) -> _Chunk:
     runs = [(size, len(list(points))) for size, points in groupby(sizes)]
     tables = [t for size, count in runs for t in [_ladder(size - 1)] * count]
     flat = [np.concatenate([getattr(t, name) for t in tables], -1)
-            for name in ("a", "drain_base", "weights")]
+            for name in ("a", "drain", "weights")]
     sizes = np.array(sizes)
     last = np.cumsum(sizes) - 1
-    rabi, gamma = np.repeat([[p.rabi for p in group], [p.gamma for p in group]], sizes, 1)
-    return _Chunk(runs, sizes, last - (sizes - 1), last, *flat, rabi, gamma)
+    rabi = np.repeat([p.rabi for p in group], sizes)
+    return _Chunk(runs, sizes, last - (sizes - 1), last, *flat, rabi)
 
 
 def _next(x: np.ndarray, chunk: _Chunk) -> np.ndarray:
@@ -496,7 +493,7 @@ def _point_sums(x: np.ndarray, chunk: _Chunk, end: int | None = None) -> np.ndar
 
 def _steady_populations(chunk: _Chunk, r) -> np.ndarray:
     """The populations p of `_resonant_steady_rho` in the slots of chunk,
-    r = rabi/gamma being given slot by slot (or once for all): p_l ~ d_l =
+    the drive r being given slot by slot (or once for all): p_l ~ d_l =
     1 + (A_l/r)^2 d_{l+1} from d_N = 1, point by point in Python floats,
     and each point normalised by `_point_sums`.
 
@@ -550,7 +547,7 @@ def _closed_form(chunk: _Chunk) -> tuple[np.ndarray, np.ndarray]:
     closed form to the bit.
     """
     dark = chunk.rabi == 0.0
-    r = np.where(dark, np.inf, chunk.rabi / chunk.gamma)
+    r = np.where(dark, np.inf, chunk.rabi)
     pops = _steady_populations(chunk, r)
     pops[dark] = 0.0
     pops[chunk.first[dark[chunk.first]]] = 1.0
@@ -564,8 +561,8 @@ def _resonant_steady_rho(params: ModelParams) -> np.ndarray:
     """Closed-form resonant steady state rho ~ Y^+ Y, Y = (1 - S+/g)^-1,
     in the gauge: the real symmetric R_{m,m'} = i^{m-m'} rho_{m,m'}.
 
-    g = i*rabi/gamma (Puri & Lawande, Phys. Lett. A 72, 200 (1979);
-    Carmichael, J. Phys. B 13, 3551 (1980)). With r = rabi/gamma and the
+    g = i*rabi (Puri & Lawande, Phys. Lett. A 72, 200 (1979);
+    Carmichael, J. Phys. B 13, 3551 (1980)). With r = rabi and the
     populations p and steps A_l/r of `_closed_form`, the gauged state is
     real, positive and semiseparable: above the diagonal
     R[j, l] = p_l prod_{k=j}^{l-1} A_k/r, the product taken from
@@ -587,14 +584,14 @@ def _resonant_steady_rho(params: ModelParams) -> np.ndarray:
 _RESID_TOL = 1e-10
 
 
-def steady_state(params: ModelParams, resid_tol: float = _RESID_TOL) -> DickeLadderState:
+def steady_state(params: ModelParams) -> DickeLadderState:
     """Exact steady state of the master equation.
 
     The closed form of `_resonant_steady_rho`, built and checked in the
     real gauge: its residual is `_gauged_rhs` of the real R, the stencil
     that `liouvillian_rhs` applies. O(N^2) in time and memory, tested up
     to N = 2000 at beta = 0.01..100. A Liouvillian residual max |L rho|
-    above resid_tol (or a non-finite one) raises a RuntimeError; the
+    above _RESID_TOL (or a non-finite one) raises a RuntimeError; the
     returned state carries that residual in its `residual` field. The
     undriven state (rabi = 0) is the dark ground state, residual 0.
 
@@ -603,7 +600,6 @@ def steady_state(params: ModelParams, resid_tol: float = _RESID_TOL) -> DickeLad
     holds only rho: 64 MB at N = 2000, of a 96 MB peak. No CLI row calls
     this; `steady_columns` makes them.
     """
-    params.require_resonant()
     gauged = _resonant_steady_rho(params)
     rhs = _gauged_rhs(gauged, params, symmetric=True)
     # max |rhs|, as abs() of the larger of max and -min: that is >= 0
@@ -611,8 +607,8 @@ def steady_state(params: ModelParams, resid_tol: float = _RESID_TOL) -> DickeLad
     residual = abs(max(float(np.maximum.reduce(rhs, None)),
                        -float(np.minimum.reduce(rhs, None))))
     del rhs  # so that rho and R are then the only (N+1)^2 arrays
-    if not residual <= resid_tol:
-        raise RuntimeError(f"steady-state residual {residual:.3e} exceeds {resid_tol:.1e}")
+    if not residual <= _RESID_TOL:
+        raise RuntimeError(f"steady-state residual {residual:.3e} exceeds {_RESID_TOL:.1e}")
     rho = gauged.astype(complex)
     rho *= _gauge(params.n_atoms + 1, inverse=True)
     return DickeLadderState(params.n_atoms, rho, residual=residual)
@@ -649,7 +645,7 @@ def observables(state) -> ObservableSet:
         s_z=s_z,
         n_e=0.5 * (s_z + 1.0),
         dipole=dipole,
-        gamma_sr=spsm,  # gamma = 1: rate in units of gamma
+        gamma_sr=spsm,  # a rate in units of gamma
         g2_numerator=g2_num,
     )
 
@@ -670,7 +666,7 @@ def g2_zero(state: DickeLadderState) -> float:
 
 
 def steady_columns(group: Sequence[ModelParams]):
-    """(columns, faults) of the steady states of resonant params of any N,
+    """(columns, faults) of the steady states of params of any N,
     in O(N) each and in one flat array pass over the group (`_chunk`).
 
     Every observable reads only p and R[l, l+1] = p_{l+1} A_l/r of the
@@ -684,8 +680,6 @@ def steady_columns(group: Sequence[ModelParams]):
     arrays over the group; faults maps the index of each state whose
     residual or |sum p - 1| exceeds _RESID_TOL to why.
     """
-    if any(p.detuning != 0.0 for p in group):
-        raise ValueError("steady_columns takes resonant params")
     chunk = _chunk(group)
     pops, steps = _closed_form(chunk)
     m_sum, spsm, g2_num = _point_sums(chunk.weights * pops, chunk)
@@ -720,7 +714,6 @@ def _band_residual(chunk: _Chunk, pops: np.ndarray, steps: np.ndarray) -> np.nda
     every term that its last slot passes on to the next point's first, so
     a point adds only zeros beyond the terms of a batch of its N alone."""
     drive, drain = _rates(chunk, chunk)
-    gamma = chunk.gamma
     p_next = _next(pops, chunk)
     d1 = p_next * steps  # R[l, l+1]
     d1_next = _next(d1, chunk)
@@ -729,12 +722,12 @@ def _band_residual(chunk: _Chunk, pops: np.ndarray, steps: np.ndarray) -> np.nda
     with np.errstate(invalid="ignore"):
         d2 = d1_next * steps  # R[l, l+2]
     diag = 2.0 * drain * pops
-    diag += gamma * chunk.a ** 2 * p_next
+    diag += chunk.a ** 2 * p_next
     flow = 2.0 * drive * d1
     diag -= flow
     diag[1:] += flow[:-1]
     off = (drain + _next(drain, chunk)) * d1
-    off += gamma * (chunk.a * _next(chunk.a, chunk)) * d1_next
+    off += (chunk.a * _next(chunk.a, chunk)) * d1_next
     off += drive * (pops - p_next)
     off -= _next(drive, chunk) * d2
     off[1:] += (drive * d2)[:-1]

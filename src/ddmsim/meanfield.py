@@ -3,11 +3,12 @@
 For N >> 1 the expectation values factorize and the dynamics reduces to
 two coupled equations for the collective dipole <S-> and the
 magnetization <S_z>, conserving the spin length N/2. This module gives
-their steady state, which has two branches separated by beta = 2*rabi/(N*gamma) = 1: a magnetized
-branch with a phase-locked dipole -i*rabi/gamma, and a saturated branch
-with <S_z> = 0. The screening equation for the effective drive x =
-2*omega_eff/(N*gamma) turns this crossover into a sharp critical point
-as N -> infinity.
+their steady state, which has two branches separated by beta = 2*rabi/N
+= 1: a magnetized branch with a phase-locked dipole -i*rabi, and a
+saturated branch with <S_z> = 0. The screening equation for the
+effective drive x = 2*omega_eff/N turns this crossover into a sharp
+critical point as N -> infinity. Rates are in units of the single-atom
+decay rate gamma, as in `ModelParams`.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class ScreeningSolution:
 def mf_steady(beta: float, n_atoms: float) -> MeanFieldState:
     """Steady-state branches of the semi-classical equations.
 
-    beta < 1: phase-locked dipole -i*beta*N/2 (= -i*rabi/gamma) with
+    beta < 1: phase-locked dipole -i*beta*N/2 (= -i*rabi) with
     sz = -(N/2)sqrt(1 - beta^2), continuing from the ground state.
     beta >= 1: sz = 0 and dipole -i*N/(2*beta).
     """
@@ -103,7 +104,7 @@ _SCREENING_FAULTS = (
 
 
 def solve_x(beta, n_atoms) -> ScreeningSolution:
-    """Solve the screening equation for x = 2*omega_eff/(N*gamma).
+    """Solve the screening equation for x = 2*omega_eff/N.
 
     With w = x^2 the equation is the quadratic
     (N^2/2) w^2 + (1 + N^2 (1 - beta^2)/2) w - beta^2 = 0, whose

@@ -89,20 +89,20 @@ class FullState:
             raise ValueError("not positive semidefinite")
 
 
-def full_lindblad_rhs(state: FullState, params: ModelParams) -> np.ndarray:
-    """drho/dt with collective drive and collective jump operator."""
+def full_lindblad_rhs(state: FullState, params: ModelParams,
+                      detuning: float = 0.0) -> np.ndarray:
+    """drho/dt with collective drive and collective jump operator, under
+    H = (rabi/2)(S+ + S-) - (detuning/2) S_z."""
     if params.n_atoms != state.n_atoms:
         raise ValueError(
             f"state has N = {state.n_atoms} but params have N = {params.n_atoms}"
         )
     sm, sp, sz = _collective_ops(state.n_atoms)
     rho = state.rho_full
-    ham = 0.5 * params.rabi * (sp + sm) - 0.5 * params.detuning * sz
+    ham = 0.5 * params.rabi * (sp + sm) - 0.5 * detuning * sz
     spsm = sp @ sm
     out = -1j * (ham @ rho - rho @ ham)
-    out += 0.5 * params.gamma * (
-        2.0 * sm @ rho @ sp - spsm @ rho - rho @ spsm
-    )
+    out += 0.5 * (2.0 * sm @ rho @ sp - spsm @ rho - rho @ spsm)
     return out
 
 
@@ -112,13 +112,16 @@ def full_evolve(
     t_final: float,
     tol: float = 1e-10,
     n_samples: int | None = None,
+    detuning: float = 0.0,
 ):
-    """Integrate the full-space master equation; returns (times, states)."""
+    """Integrate the full-space master equation (`full_lindblad_rhs`);
+    returns (times, states)."""
     n = state0.n_atoms
     dim = 2**n
 
     def rhs_flat(_t, y):
-        return full_lindblad_rhs(FullState(n, y.reshape(dim, dim)), params).ravel()
+        return full_lindblad_rhs(FullState(n, y.reshape(dim, dim)), params,
+                                 detuning).ravel()
 
     t_eval = np.linspace(0.0, t_final, n_samples) if n_samples else None
     sol = solve_ivp(

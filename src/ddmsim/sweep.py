@@ -23,7 +23,7 @@ import numpy as np
 
 from ddmsim import __version__
 from ddmsim.blas import pin_blas_threads
-from ddmsim.params import ModelParams
+from ddmsim.params import ModelParams, _is_real
 # liouvillian_rhs, steady_state, g2_zero and cooperativity_mu are unused
 # here; they are traced under these names by bench/spans.py and
 # bench/gate.py.
@@ -52,14 +52,6 @@ class AllPointsFailedError(RuntimeError):
     """Every point of the sweep failed to solve."""
 
 
-def _real(value) -> float:
-    """value as a float; nan if it is not a number."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        return math.nan
-
-
 @dataclass
 class SweepSpec:
     """One sweep: a mode, its parameter grids, and output selection."""
@@ -83,7 +75,7 @@ class SweepSpec:
             grid = self.grids.get(name)
             if not isinstance(grid, (list, tuple)) or len(grid) == 0:
                 raise ConfigError(f"mode {self.mode!r} needs a non-empty list {name!r}")
-            if bool in set(map(type, grid)):
+            if not all(map(_is_real, grid)):
                 raise ConfigError(f"grid {name!r} must hold numbers, got {grid!r}")
         extra = set(self.grids) - set(mode.grids)
         if extra:
@@ -101,21 +93,22 @@ class SweepSpec:
             raise ConfigError(f"mode {self.mode!r} does not read {sorted(unread)}")
         t_final = self.settings.get("t_final", T_FINAL)
         n_samples = self.settings.get("n_samples", N_SAMPLES)
-        # JSON true/false would pass as 1/0 (bool is an int in Python).
+        # A string is no number, nor is JSON true/false (to Python a bool
+        # is an int).
         scalars = ("tol", self.tol), ("t_final", t_final), ("n_samples", n_samples)
         for name, value in scalars:
-            if isinstance(value, bool):
+            if not _is_real(value):
                 raise ConfigError(f"{name} must be a number, got {value!r}")
         for name, value in ("tol", self.tol), ("t_final", t_final):
-            if not 0 < _real(value) < math.inf:
+            if not 0 < value < math.inf:
                 raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
-        if not (_real(n_samples).is_integer() and _real(n_samples) >= 2):
+        if not (float(n_samples).is_integer() and n_samples >= 2):
             raise ConfigError(f"n_samples must be whole and >= 2, got {n_samples!r}")
         for n in self.grids["n_atoms"] if mode.whole_n else ():
-            if not _real(n).is_integer():
+            if not float(n).is_integer():
                 raise ConfigError(f"mode {self.mode!r} needs whole atom numbers, "
                                   f"got n_atoms = {n!r}")
-        self.tol = _real(self.tol)
+        self.tol = float(self.tol)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SweepSpec":
@@ -150,7 +143,7 @@ class SweepResult:
 def _dynamics_rows(point, tol, settings):
     n, rabi = int(point["n_atoms"]), float(point["rabi"])
     t_final = float(settings.get("t_final", T_FINAL))
-    n_samples = int(_real(settings.get("n_samples", N_SAMPLES)))
+    n_samples = int(settings.get("n_samples", N_SAMPLES))
     params = ModelParams(n_atoms=n, rabi=rabi)
     times, trajectory = evolve(
         DickeLadderState.ground(n), params, t_final, tol=tol, n_samples=n_samples

@@ -355,6 +355,7 @@ class TestSettings:
          "settings": {"n_samples": "abc"}},
         {"mode": "dynamics", "grids": {"n_atoms": [2], "rabi": [1.0]},
          "settings": {"t_final": "nan"}},
+        {"mode": "steady_state", "grids": {"n_atoms": [2], "rabi": [None]}},
     ])
     def test_bad_config_exits_1(self, capsys, tmp_path, doc):
         path = tmp_path / "sweep.json"
@@ -393,6 +394,29 @@ class TestSettings:
         assert code == 1
         assert out == ""
         assert err.startswith("ddmsim: config error: ") and name in err
+
+    def test_gamma_mhz_scales_t_final_ns(self, capsys):
+        code, out, _ = run_cli(capsys, "dynamics", "--n-atoms", "2", "--rabi", "1",
+                               "--t-final-ns", "150", "--gamma-mhz", "10")
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert float(lines[-1].split(",")[lines[1].split(",").index("t")]) == 1.5
+
+    def test_gamma_mhz_without_t_final_ns_is_config_error(self, capsys):
+        # It was ignored: the trace ran to --t-final.
+        code, out, err = run_cli(capsys, "dynamics", "--n-atoms", "3", "--rabi", "1",
+                                 "--t-final", "1", "--gamma-mhz", "5")
+        assert (code, out) == (1, "")
+        assert err == "ddmsim: config error: --gamma-mhz is read only with --t-final-ns\n"
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_bad_gamma_mhz_is_named(self, capsys, value):
+        # -1 was reported as "t_final must be finite and > 0, got -0.01".
+        code, out, err = run_cli(capsys, "dynamics", "--n-atoms", "3", "--rabi", "1",
+                                 "--t-final-ns", "1", "--gamma-mhz", value)
+        assert (code, out) == (1, "")
+        assert err == (f"ddmsim: config error: --gamma-mhz must be finite and > 0, "
+                       f"got {float(value)}\n")
 
     def test_flags_override_config_settings(self, capsys, tmp_path):
         path = tmp_path / "dyn.json"

@@ -61,22 +61,25 @@ def random_density_matrix(n, seed):
 # References: the Kronecker-product Liouvillian and its trace-row LU,
 # which `evolve` and the detuned steady state used before the ladder
 # solvers went resonant-only and `_sector_operator` was built from the
-# ladder coefficients.
+# ladder coefficients. They keep a decay rate gamma and a detuning of
+# their own, which the ladder measures its rates in and leaves to the
+# 2^N oracle: L(rabi, gamma) = gamma L(rabi/gamma, 1).
 
-def superoperator(params):
+def superoperator(params, gamma=1.0, detuning=0.0):
     """Sparse complex Liouvillian on vec(rho) (column-major stacking),
-    with detuned drive: H = (rabi/2)(S+ + S-) - (detuning/2) S_z."""
+    with collective decay at rate gamma and detuned drive:
+    H = (rabi/2)(S+ + S-) - (detuning/2) S_z."""
     n = params.n_atoms
     a = _ladder(n).a
     dim = n + 1
     sm = sparse.diags(a[:-1], 1, format="csr")  # <i-1|S-|i> = A[i-1]
     sp_op = sm.T.tocsr()
     m_diag = np.arange(dim) - n / 2.0
-    ham = 0.5 * params.rabi * (sp_op + sm) - 0.5 * params.detuning * sparse.diags(m_diag)
+    ham = 0.5 * params.rabi * (sp_op + sm) - 0.5 * detuning * sparse.diags(m_diag)
     ident = sparse.identity(dim, format="csr")
     spsm = (sp_op @ sm).tocsr()
     liou = -1j * (sparse.kron(ident, ham) - sparse.kron(ham.T, ident))
-    liou = liou + 0.5 * params.gamma * (
+    liou = liou + 0.5 * gamma * (
         2.0 * sparse.kron(sp_op.T, sm)
         - sparse.kron(ident, spsm)
         - sparse.kron(spsm.T, ident)
@@ -84,16 +87,16 @@ def superoperator(params):
     return liou.tocsr()
 
 
-def gauged_superoperator(params):
+def gauged_superoperator(params, gamma=1.0):
     """`superoperator` under rho_{mm'} -> i^{m-m'} rho_{mm'}: every drive
     entry picks up a factor +-i and every other entry a factor 1."""
-    liou = superoperator(params).tocoo()
+    liou = superoperator(params, gamma).tocoo()
     phase = _gauge(params.n_atoms + 1).ravel(order="F")
     liou.data *= phase[liou.row] * phase[liou.col].conj()
     return liou.tocsr()
 
 
-def sector_reference(params):
+def sector_reference(params, gamma=1.0):
     """The real part of the gauged L on real symmetric rho, as a dense
     array: rows are the upper triangle of rho (np.triu_indices order),
     and each lower-triangle column is folded onto its mirror."""
@@ -107,14 +110,14 @@ def sector_reference(params):
          (np.concatenate([upper, lower[off]]), np.concatenate([k, k[off]]))),
         shape=(dim * dim, rows.size),
     )
-    return (gauged_superoperator(params).real[upper] @ embed).toarray()
+    return (gauged_superoperator(params, gamma).real[upper] @ embed).toarray()
 
 
-def lu_steady_rho(params):
+def lu_steady_rho(params, detuning=0.0):
     """The steady state as the null vector of `superoperator`, by one
     sparse LU with the first row replaced by the trace condition."""
     dim = params.n_atoms + 1
-    mat = superoperator(params).tolil()
+    mat = superoperator(params, detuning=detuning).tolil()
     mat[0, :] = 0.0
     for c in np.arange(dim) * (dim + 1):
         mat[0, c] = 1.0
@@ -212,11 +215,11 @@ class TestRates:
 
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_values(self, n):
-        params = ModelParams(n_atoms=n, rabi=1.5, gamma=2.5)
+        params = ModelParams(n_atoms=n, rabi=1.5)
         a = _ladder(n).a
         drive, drain = ddmsim.ladder._rates(params)
         np.testing.assert_allclose(drive, 0.75 * a, rtol=1e-15)
-        np.testing.assert_allclose(drain[1:], -1.25 * a[:-1] ** 2, rtol=1e-15)
+        np.testing.assert_allclose(drain[1:], -0.5 * a[:-1] ** 2, rtol=1e-15)
         assert drain[0] == 0.0 and drive[-1] == 0.0
 
 
@@ -266,11 +269,12 @@ class TestLiouvillianRhs:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 10, 24, 47, 60, 140, 300, 600])
     @pytest.mark.parametrize("gamma", [1.0, 2.5])
     def test_bit_equal_to_real_split(self, n, gamma):
+        # The drive 0.7 N in units of a decay rate gamma.
         rng = np.random.default_rng(n)
         dim = n + 1
         state = DickeLadderState(
             n, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-        params = ModelParams(n_atoms=n, rabi=0.7 * n, gamma=gamma)
+        params = ModelParams(n_atoms=n, rabi=0.7 * n / gamma)
         got = liouvillian_rhs(state, params)
         assert got.dtype == np.complex128
         assert got.tobytes() == real_split_liouvillian_rhs(state, params).tobytes()
@@ -292,13 +296,15 @@ class TestLiouvillianRhs:
     @pytest.mark.parametrize("gamma", [1.0, 2.5])
     def test_stencil_matches_superoperator(self, n, rabi_per_atom, gamma):
         # The stencil against the Kronecker-product reference, undriven
-        # (decay terms only) and driven, on any complex rho.
+        # (decay terms only) and driven, on any complex rho; at a decay
+        # rate gamma, as gamma times the stencil at the drive rabi/gamma.
         rng = np.random.default_rng(n)
         dim = n + 1
         rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        params = ModelParams(n_atoms=n, rabi=rabi_per_atom * n, gamma=gamma)
-        stencil = liouvillian_rhs(DickeLadderState(n, rho), params)
-        sparse_l = (superoperator(params) @ rho.ravel(order="F")).reshape(
+        params = ModelParams(n_atoms=n, rabi=rabi_per_atom * n)
+        scaled = ModelParams(n_atoms=n, rabi=rabi_per_atom * n / gamma)
+        stencil = gamma * liouvillian_rhs(DickeLadderState(n, rho), scaled)
+        sparse_l = (superoperator(params, gamma) @ rho.ravel(order="F")).reshape(
             dim, dim, order="F"
         )
         scale = np.max(np.abs(stencil))
@@ -375,18 +381,17 @@ class TestEvolve:
             check_state(state, trace_tol=1e-7, herm_tol=1e-8, psd_tol=1e-7)
 
     def test_detuned_matches_full_space_oracle(self):
-        # evolve rejects detuned drive (TestResonantOnly). The 2^N oracle
-        # keeps it: its trace against exp(L t) of the reference
-        # superoperator from the ground state.
+        # The ladder is resonant; the 2^N oracle keeps a detuning: its
+        # trace against exp(L t) of the reference superoperator from the
+        # ground state.
         for n in (2, 3):
             for rabi in (0.7, 2.0):
                 for detuning in (-0.9, 0.9):
-                    params = ModelParams(n_atoms=n, rabi=rabi, detuning=detuning)
-                    liou = superoperator(params).toarray()
+                    params = ModelParams(n_atoms=n, rabi=rabi)
+                    liou = superoperator(params, detuning=detuning).toarray()
                     rho0 = DickeLadderState.ground(n).rho.ravel(order="F")
-                    t, full = full_evolve(
-                        FullState.ground(n), params, 5.0, tol=1e-11, n_samples=26
-                    )
+                    t, full = full_evolve(FullState.ground(n), params, 5.0, tol=1e-11,
+                                          n_samples=26, detuning=detuning)
                     label = (n, rabi, detuning)
                     for t_k, full_state in zip(t, full, strict=True):
                         rho = (expm(liou * t_k) @ rho0).reshape(n + 1, n + 1, order="F")
@@ -460,14 +465,15 @@ class TestPropagator:
     @pytest.mark.parametrize("n", [1, 2, 7, 24])
     @pytest.mark.parametrize("gamma", [1.0, 2.5])
     def test_gauged_resonant_liouvillian_is_real(self, n, gamma):
-        params = ModelParams(n_atoms=n, rabi=0.9 * n, gamma=gamma)
-        assert not gauged_superoperator(params).data.imag.any()
+        params = ModelParams(n_atoms=n, rabi=0.9 * n)
+        assert not gauged_superoperator(params, gamma).data.imag.any()
 
     @pytest.mark.parametrize("n", [1, 2, 7, 24])
     @pytest.mark.parametrize("gamma", [1.0, 2.5])
     def test_symmetric_sector_is_invariant(self, n, gamma):
-        params = ModelParams(n_atoms=n, rabi=0.9 * n, gamma=gamma)
-        gauged = gauged_superoperator(params)
+        # At a decay rate gamma the sector operator is gamma times the
+        # ladder's at the drive rabi/gamma.
+        gauged = gauged_superoperator(ModelParams(n_atoms=n, rabi=0.9 * n), gamma)
         dim = n + 1
         rng = np.random.default_rng(n)
         x = rng.normal(size=(dim, dim))
@@ -476,14 +482,14 @@ class TestPropagator:
         scale = np.max(np.abs(y))
         assert np.max(np.abs(y - y.T)) <= 1e-14 * scale
         rows, cols = np.triu_indices(dim)
-        sector = _sector_operator(params)
+        sector = gamma * _sector_operator(ModelParams(n_atoms=n, rabi=0.9 * n / gamma))
         assert sector.shape == (sector_size(n),) * 2
         assert np.max(np.abs(sector @ x[rows, cols] - y[rows, cols])) <= 1e-14 * scale
 
     def test_ground_and_steady_states_lie_in_sector(self):
         for state in (DickeLadderState.ground(6),
                       steady_state(ModelParams(n_atoms=6, rabi=2.0)),
-                      steady_state(ModelParams(n_atoms=9, rabi=20.0, gamma=2.5))):
+                      steady_state(ModelParams(n_atoms=9, rabi=8.0))):
             gauged = state.rho * ddmsim.ladder._gauge(state.n_atoms + 1)
             assert not gauged.imag.any()
             assert np.array_equal(gauged, gauged.T)
@@ -573,9 +579,9 @@ class TestSectorOperator:
     @pytest.mark.parametrize("gamma, rel_tol", [(1.0, 0.0), (2.5, 1e-14)])
     @pytest.mark.parametrize("rabi_per_atom", [0.0, 0.9])
     def test_matches_superoperator_reference(self, n, gamma, rel_tol, rabi_per_atom):
-        params = ModelParams(n_atoms=n, rabi=rabi_per_atom * n, gamma=gamma)
-        op = _sector_operator(params)
-        ref = sector_reference(params)
+        # At a decay rate gamma, gamma times the operator at rabi/gamma.
+        op = gamma * _sector_operator(ModelParams(n_atoms=n, rabi=rabi_per_atom * n / gamma))
+        ref = sector_reference(ModelParams(n_atoms=n, rabi=rabi_per_atom * n), gamma)
         assert isinstance(op, np.ndarray) and op.dtype == np.float64
         assert op.shape == ref.shape == (sector_size(n),) * 2
         assert np.max(np.abs(op - ref)) <= rel_tol * np.max(np.abs(ref))
@@ -583,7 +589,7 @@ class TestSectorOperator:
     @pytest.mark.parametrize("n", [1, 2, 7, 24, 47])
     @pytest.mark.parametrize("gamma", [1.0, 2.5])
     def test_matches_stencil_on_symmetric_x(self, n, gamma):
-        params = ModelParams(n_atoms=n, rabi=0.9 * n, gamma=gamma)
+        params = ModelParams(n_atoms=n, rabi=0.9 * n / gamma)
         dim = n + 1
         x = np.random.default_rng(n).normal(size=(dim, dim))
         x += x.T
@@ -609,19 +615,8 @@ class TestSectorOperator:
 
 
 class TestResonantOnly:
-    """The ladder solvers take resonant drive, and `evolve` the real
-    symmetric sector of the gauge; anything else is a ValueError."""
-
-    @pytest.mark.parametrize("solver", [
-        lambda params, state: steady_state(params),
-        lambda params, state: evolve(state, params, 1.0),
-        lambda params, state: liouvillian_rhs(state, params),
-    ], ids=["steady_state", "evolve", "liouvillian_rhs"])
-    @pytest.mark.parametrize("detuning", [-0.9, 1e-300])
-    def test_detuned_drive_rejected(self, solver, detuning):
-        params = ModelParams(n_atoms=3, rabi=0.7, detuning=detuning)
-        with pytest.raises(ValueError, match="resonant drive only"):
-            solver(params, DickeLadderState.ground(3))
+    """`evolve` takes the real symmetric sector of the gauge, which
+    resonant drive keeps; any other state is a ValueError."""
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_rejects_state_outside_sector(self, n):
@@ -648,7 +643,7 @@ def row_recurrence_steady_rho(params):
     coherence from the one below it, rho[j, l] = conj(A_j/g) rho[j+1, l]."""
     n = params.n_atoms
     a = _ladder(n).a[:-1]
-    g = 1j * params.rabi / params.gamma
+    g = 1j * params.rabi
     ratio = (a / abs(g)) ** 2
     pops = np.empty(n + 1)
     pops[n] = one = 1.0
@@ -681,9 +676,7 @@ class TestRealGaugeSteadyState:
         # (Zero real or imaginary parts above the diagonal may carry the
         # other sign: -0.0 for 0.0.) N = 2000 at beta = 0.01 rescales the
         # populations 49 times.
-        cases = [ModelParams(n_atoms=n, rabi=0.5 * beta * n) for beta in self.BETAS]
-        cases.append(ModelParams(n_atoms=n, rabi=0.55 * n * 2.5, gamma=2.5))
-        for params in cases:
+        for params in [ModelParams(n_atoms=n, rabi=0.5 * beta * n) for beta in self.BETAS]:
             rho = steady_state(params).rho
             ref = row_recurrence_steady_rho(params)
             assert np.array_equal(rho, ref), params
@@ -694,13 +687,14 @@ class TestRealGaugeSteadyState:
     @pytest.mark.parametrize("gamma", [1.0, 2.5])
     def test_gauged_stencil_is_the_gauged_superoperator(self, n, gamma):
         # The real stencil on any real x, against the real part of the
-        # gauged sparse L (its imaginary part is exactly zero).
-        params = ModelParams(n_atoms=n, rabi=0.9 * n, gamma=gamma)
+        # gauged sparse L (its imaginary part is exactly zero); at a decay
+        # rate gamma, as gamma times the stencil at the drive rabi/gamma.
+        params = ModelParams(n_atoms=n, rabi=0.9 * n)
         dim = n + 1
         x = np.random.default_rng(n).normal(size=(dim, dim))
-        ref = (gauged_superoperator(params).real @ x.ravel(order="F")).reshape(
+        ref = (gauged_superoperator(params, gamma).real @ x.ravel(order="F")).reshape(
             dim, dim, order="F")
-        stencil = _gauged_rhs(x, params)
+        stencil = gamma * _gauged_rhs(x, ModelParams(n_atoms=n, rabi=0.9 * n / gamma))
         assert not np.iscomplexobj(stencil)
         assert np.max(np.abs(stencil - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -723,7 +717,7 @@ class TestRealGaugeSteadyState:
 
 
 class TestModelParams:
-    @pytest.mark.parametrize("field", ["rabi", "detuning", "gamma"])
+    @pytest.mark.parametrize("field", ["rabi"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_drive(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
@@ -736,7 +730,7 @@ class TestModelParams:
         with pytest.raises(ValueError, match="n_atoms must be an integer"):
             ModelParams(n_atoms=n_atoms, rabi=1.0)
 
-    @pytest.mark.parametrize("field", ["rabi", "detuning", "gamma"])
+    @pytest.mark.parametrize("field", ["rabi"])
     @pytest.mark.parametrize("value", [True, False, np.True_, "1.0", None, 1j])
     def test_rejects_drive_that_is_not_a_real_number(self, field, value):
         # rabi=True used to become a drive of 1.0.
@@ -745,13 +739,18 @@ class TestModelParams:
 
     @pytest.mark.parametrize("n_atoms", [np.int64(3), np.int32(3), np.uint8(3)])
     def test_numpy_integer_atom_number_is_accepted(self, n_atoms):
-        params = ModelParams(n_atoms=n_atoms, rabi=np.float64(1.5), gamma=np.int64(1))
+        params = ModelParams(n_atoms=n_atoms, rabi=np.float64(1.5))
         assert type(params.n_atoms) is int and params.n_atoms == 3
         ref = steady_state(ModelParams(n_atoms=3, rabi=1.5))
         assert steady_state(params).rho.tobytes() == ref.rho.tobytes()
 
     def test_int_drive_is_accepted(self):
-        assert ModelParams(n_atoms=4, rabi=2, detuning=0, gamma=1).beta == 1.0
+        assert ModelParams(n_atoms=4, rabi=2).beta == 1.0
+
+    def test_holds_only_n_atoms_and_rabi(self):
+        # A decay rate is the unit of every rate, and a detuning the
+        # oracle's keyword: neither is a field.
+        assert list(ModelParams.__dataclass_fields__) == ["n_atoms", "rabi"]
 
 
 class TestSteadyState:
@@ -785,7 +784,7 @@ class TestSteadyState:
             for n in (1, 2, 5, 16, 40, 100)
             for beta in (0.05, 0.5, 0.95, 1.05, 3.0, 100.0)
         ]
-        cases.append(ModelParams(n_atoms=16, rabi=7.0, gamma=2.5))
+        cases.append(ModelParams(n_atoms=16, rabi=2.8))
         for params in cases:
             state = steady_state(params)
             assert np.max(np.abs(state.rho - lu_steady_rho(params))) <= 1e-12, params
@@ -811,29 +810,30 @@ class TestSteadyState:
                     saturated = n * (n + 2) / 6.0
                     assert abs(obs.gamma_sr / saturated - 1.0) <= 0.02, label
 
-    def test_resonant_residual_check_raises(self):
-        with pytest.raises(RuntimeError, match="residual"):
-            steady_state(ModelParams(n_atoms=40, rabi=30.0), resid_tol=1e-300)
+    def test_resonant_residual_check_raises(self, monkeypatch):
+        monkeypatch.setattr(ddmsim.ladder, "_RESID_TOL", 1e-300)
+        with pytest.raises(RuntimeError, match=r"residual \S+ exceeds 1\.0e-300"):
+            steady_state(ModelParams(n_atoms=40, rabi=30.0))
 
     def test_detuned_matches_full_space_oracle(self):
-        # steady_state rejects detuned drive (TestResonantOnly). The 2^N
-        # oracle keeps it: relaxed from the ground state, against the
-        # trace-row LU of the reference superoperator.
+        # The ladder is resonant; the 2^N oracle keeps a detuning:
+        # relaxed from the ground state, against the trace-row LU of the
+        # reference superoperator.
         for n in (2, 3):
             for rabi in (0.7, 2.0):
                 for detuning in (-0.9, 0.9):
-                    params = ModelParams(n_atoms=n, rabi=rabi, detuning=detuning)
-                    state = DickeLadderState(n, lu_steady_rho(params))
-                    _, full = full_evolve(
-                        FullState.ground(n), params, 80.0, tol=1e-11, n_samples=2
-                    )
+                    params = ModelParams(n_atoms=n, rabi=rabi)
+                    state = DickeLadderState(n, lu_steady_rho(params, detuning))
+                    _, full = full_evolve(FullState.ground(n), params, 80.0, tol=1e-11,
+                                          n_samples=2, detuning=detuning)
                     ref = observables(project_to_ladder(full[-1])[0])
                     obs = observables(state)
                     label = (n, rabi, detuning)
                     assert abs(obs.s_z - ref.s_z) <= 1e-8, label
                     assert abs(obs.gamma_sr - ref.gamma_sr) <= 1e-8, label
                     assert abs(obs.dipole - ref.dipole) <= 1e-8, label
-                    residual = superoperator(params) @ state.rho.ravel(order="F")
+                    residual = (superoperator(params, detuning=detuning)
+                                @ state.rho.ravel(order="F"))
                     assert np.max(np.abs(residual)) <= 1e-10, label
 
     def test_fixed_point_of_evolve(self):
@@ -936,20 +936,20 @@ def reference_coupling(n):
 def reference_rates(params):
     a = reference_coupling(params.n_atoms)
     return (0.5 * params.rabi * a,
-            np.concatenate(([0.0], -0.5 * params.gamma * a[:-1] ** 2)))
+            np.concatenate(([0.0], -0.5 * a[:-1] ** 2)))
 
 
 def reference_gauged_rhs(x, params, symmetric=False):
     a = reference_coupling(params.n_atoms)[:-1]
     drive, drain = reference_rates(params)
     drive, drain = drive[:-1, None], drain[:, None]
-    half_gamma_a = (0.5 * params.gamma * a)[:, None]
+    half_a = (0.5 * a)[:, None]
 
     def row_half(y, tmp):
         h = drain * y
         feed = tmp[:-1, :-1]
         np.multiply(y[1:, 1:], a, out=feed)
-        feed *= half_gamma_a
+        feed *= half_a
         h[:-1, :-1] += feed
         h[1:] += np.multiply(drive, y[:-1], out=tmp[1:])
         h[:-1] -= np.multiply(drive, y[1:], out=tmp[:-1])
@@ -971,7 +971,7 @@ def reference_populations(params):
     """The diagonal of the closed form: the recurrence that rescales the
     whole of d whenever its last entry passes 1e150."""
     a = reference_coupling(params.n_atoms)[:-1]
-    r = params.rabi / params.gamma
+    r = params.rabi
     d, one = [1.0], 1.0
     for q in ((a / r) ** 2)[::-1].tolist():
         d.append(one + q * d[-1])
@@ -987,7 +987,7 @@ def reference_populations(params):
 def reference_resonant_steady_rho(params):
     n = params.n_atoms
     a = reference_coupling(n)[:-1]
-    r = params.rabi / params.gamma
+    r = params.rabi
     pops = reference_populations(params)
     idx = np.arange(n + 1)
     below = np.greater.outer(idx, idx)
@@ -1040,16 +1040,14 @@ PINNED_BETAS = (0.01, 0.5, 1.0, 1.1, 2.75, 100.0)
 
 
 def pinned_params(n):
-    cases = [ModelParams(n_atoms=n, rabi=0.5 * beta * n) for beta in PINNED_BETAS]
-    cases.append(ModelParams(n_atoms=n, rabi=0.5 * 1.1 * n * 2.5, gamma=2.5))
-    return cases
+    return [ModelParams(n_atoms=n, rabi=0.5 * beta * n) for beta in PINNED_BETAS]
 
 
 def population_rescales(params):
     """Whether the closed form's population recurrence passes 1e150,
     where it rescales."""
     a = reference_coupling(params.n_atoms)[:-1]
-    r = params.rabi / params.gamma
+    r = params.rabi
     d = 1.0
     for q in ((a / r) ** 2)[::-1].tolist():
         d = 1.0 + q * d
@@ -1087,7 +1085,8 @@ class TestSteadyPointBitForBit:
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 47, 60, 98, 140, 300, 600])
     @pytest.mark.parametrize("gamma", [1.0, 2.5])
     def test_liouvillian_rhs_matches_reference(self, n, gamma):
-        params = ModelParams(n_atoms=n, rabi=0.7 * n, gamma=gamma)
+        # The drive 0.7 N in units of a decay rate gamma.
+        params = ModelParams(n_atoms=n, rabi=0.7 * n / gamma)
         rng = np.random.default_rng(n)
         rho = rng.normal(size=(n + 1, n + 1)) + 1j * rng.normal(size=(n + 1, n + 1))
         # Signed zeros and exact zeros, where a sign could flip.
@@ -1166,9 +1165,8 @@ class TestLadderTables:
         tables = _ladder(n)
         a = reference_coupling(n)
         assert tables.a.tobytes() == a.tobytes()
-        drive, drain = reference_rates(ModelParams(n_atoms=n, rabi=1.3, gamma=2.5))
-        got_drive, got_drain = ddmsim.ladder._rates(ModelParams(n_atoms=n, rabi=1.3,
-                                                               gamma=2.5))
+        drive, drain = reference_rates(ModelParams(n_atoms=n, rabi=1.3))
+        got_drive, got_drain = ddmsim.ladder._rates(ModelParams(n_atoms=n, rabi=1.3))
         assert got_drive.tobytes() == drive.tobytes()
         assert got_drain.tobytes() == drain.tobytes()  # +0.0 first
         assert tables.gauge.tobytes() == reference_phases(n + 1).tobytes()
@@ -1208,8 +1206,9 @@ class TestTaylorPolynomial:
     @pytest.mark.parametrize("n", range(1, 48))
     @pytest.mark.parametrize("gamma", [1.0, 2.5])
     def test_matches_horner_before_squaring(self, n, gamma):
-        # x as `_propagate_dense` scales it for a 161-sample trace to t = 8.
-        op = _sector_operator(ModelParams(n_atoms=n, rabi=0.75 * n * gamma, gamma=gamma))
+        # x as `_propagate_dense` scales it for a 161-sample trace to t = 8,
+        # the operator taken at a decay rate gamma.
+        op = gamma * _sector_operator(ModelParams(n_atoms=n, rabi=0.75 * n))
         dt = 8.0 / 160
         norm = abs(op).sum(axis=0).max() * dt
         squarings = int(np.ceil(np.log2(max(norm / 0.5, 1.0))))
@@ -1322,10 +1321,10 @@ class TestSteadyColumns:
         for points in (one_n, mixed):
             group = [ModelParams(n_atoms=n, rabi=rabi) for n, rabi in points]
             chunk = chunk_of(group)
-            pops = populations(chunk, chunk.rabi / chunk.gamma)
+            pops = populations(chunk, chunk.rabi)
             for k, params in enumerate(group):
                 mine = pops[chunk.first[k]:chunk.last[k] + 1]
-                alone = populations(chunk_of([params]), params.rabi / params.gamma)
+                alone = populations(chunk_of([params]), params.rabi)
                 assert mine.tobytes() == alone.tobytes(), params
                 assert mine.tobytes() == reference_populations(params).tobytes(), params
             k = points.index((300, 1.5))
@@ -1340,18 +1339,15 @@ class TestSteadyColumns:
         params = ModelParams(n_atoms=n, rabi=0.5 * beta * n)
         assert population_rescales(params)
         chunk = ddmsim.ladder._chunk([params])
-        got = ddmsim.ladder._steady_populations(chunk, params.rabi / params.gamma)
+        got = ddmsim.ladder._steady_populations(chunk, params.rabi)
         assert got.tobytes() == reference_populations(params).tobytes()
 
     def test_a_mixed_group_matches_each_point_alone(self):
-        # Unsorted and repeated N, the dark state, a nan point (beta
-        # 1e-300) and gamma 2.5: every cell and fault of a point is the
-        # one it has alone.
-        points = [(31, 0.5, 1.0), (3, 1e-300, 1.0), (140, 0.0, 1.0), (3, 2.0, 1.0),
-                  (31, 2.75, 2.5), (1, 0.5, 1.0), (2000, 0.01, 1.0), (3, 1e-300, 1.0),
-                  (140, 1.1, 1.0), (1, 1e-300, 1.0)]
-        group = [ModelParams(n_atoms=n, rabi=0.5 * beta * n * gamma, gamma=gamma)
-                 for n, beta, gamma in points]
+        # Unsorted and repeated N, the dark state and a nan point (beta
+        # 1e-300): every cell and fault of a point is the one it has alone.
+        points = [(31, 0.5), (3, 1e-300), (140, 0.0), (3, 2.0), (31, 2.75), (1, 0.5),
+                  (2000, 0.01), (3, 1e-300), (140, 1.1), (1, 1e-300)]
+        group = [ModelParams(n_atoms=n, rabi=0.5 * beta * n) for n, beta in points]
         cols, faults = steady_columns(group)
         assert sorted(faults) == [1, 7, 9]
         for k, params in enumerate(group):
@@ -1361,8 +1357,8 @@ class TestSteadyColumns:
         assert faults[1] == "steady-state residual nan exceeds 1.0e-10"
 
     @pytest.mark.parametrize("n", [1, 2, 7, 60, 333])
-    @pytest.mark.parametrize("gamma", [1.0, 2.5])
-    def test_band_residual_is_the_stencil_on_its_band(self, monkeypatch, n, gamma):
+    @pytest.mark.parametrize("scale", [1.0, 2.5])
+    def test_band_residual_is_the_stencil_on_its_band(self, monkeypatch, n, scale):
         # Away from the steady state L R is of order one, so the band
         # check must agree with the full stencil to round-off.
         populations = ddmsim.ladder._steady_populations
@@ -1372,8 +1368,8 @@ class TestSteadyColumns:
             return populations(chunk, r) * (1.0 + 1e-3 * rng.random(chunk.a.size))
 
         monkeypatch.setattr(ddmsim.ladder, "_steady_populations", shaken)
-        for beta in (0.3, 1.0, 2.75):
-            params = ModelParams(n_atoms=n, rabi=0.5 * beta * n * gamma, gamma=gamma)
+        for beta in (0.3, 1.0, 2.75):  # times scale
+            params = ModelParams(n_atoms=n, rabi=0.5 * beta * n * scale)
             gauged = ddmsim.ladder._resonant_steady_rho(params)
             want = band_of(_gauged_rhs(gauged.copy(), params, symmetric=True))
             chunk, _, steps = column_inputs(params)
@@ -1412,8 +1408,3 @@ class TestSteadyColumns:
         assert sorted(faults) == [0, 2]
         assert re.fullmatch(r"steady-state residual \S+ exceeds 1\.0e-10", faults[0])
         assert re.fullmatch(r"steady-state trace is off by 1\.000e-09", faults[2])
-
-    def test_rejects_a_detuned_group(self):
-        group = [ModelParams(n_atoms=3, rabi=1.0), ModelParams(n_atoms=4, rabi=1.0, detuning=0.5)]
-        with pytest.raises(ValueError, match="takes resonant params"):
-            steady_columns(group)

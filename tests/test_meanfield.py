@@ -32,10 +32,9 @@ def mf_rhs(state, params):
     imaginary and i*rabi*<S-> is real.
     """
     omega = params.rabi
-    gamma = params.gamma
     n = state.n_atoms
-    d_dipole = (1j * omega + gamma * state.dipole) * state.sz
-    d_sz = np.real(1j * omega * state.dipole) - gamma * (n**2 / 4.0 - state.sz**2)
+    d_dipole = (1j * omega + state.dipole) * state.sz
+    d_sz = np.real(1j * omega * state.dipole) - (n**2 / 4.0 - state.sz**2)
     return d_dipole, float(d_sz)
 
 
@@ -170,7 +169,6 @@ class TestCriticalDrive:
     def test_values(self):
         assert ModelParams(n_atoms=10, rabi=5.0).beta == 1.0
         assert ModelParams(n_atoms=7, rabi=3.5).beta == 1.0
-        assert ModelParams(n_atoms=8, rabi=10.0, gamma=2.5).beta == 1.0
 
     def test_round_trip_beta_one(self):
         # phase_diagram drives at rabi = beta*N/2 and reports beta.
@@ -178,8 +176,7 @@ class TestCriticalDrive:
             assert ModelParams(n_atoms=n, rabi=0.5 * 1.0 * n).beta == 1.0
 
     def test_rejects_nonpositive(self):
-        for bad in ({"n_atoms": 0, "rabi": 1.0}, {"n_atoms": 4, "rabi": -1.0},
-                    {"n_atoms": 4, "rabi": 1.0, "gamma": 0.0}):
+        for bad in ({"n_atoms": 0, "rabi": 1.0}, {"n_atoms": 4, "rabi": -1.0}):
             with pytest.raises(ValueError):
                 ModelParams(**bad)
 

@@ -44,11 +44,12 @@ class TestFullRhs:
     def test_single_atom_detuning_matches_bloch_equations(self, detuning, gamma):
         # The ladder solvers are resonant-only; the oracle's detuning
         # term, H = (rabi/2) sigma_x - (detuning/2) S_z, against the
-        # optical Bloch equations written out.
+        # optical Bloch equations written out. At a decay rate gamma the
+        # oracle is gamma times itself at rabi/gamma and detuning/gamma.
         rho = random_qubit_rho(1)
         omega = 2.3
-        params = ModelParams(n_atoms=1, rabi=omega, detuning=detuning, gamma=gamma)
-        rhs = full_lindblad_rhs(FullState(1, rho), params)
+        params = ModelParams(n_atoms=1, rabi=omega / gamma)
+        rhs = gamma * full_lindblad_rhs(FullState(1, rho), params, detuning / gamma)
         ee, eg = rho[1, 1], rho[1, 0]
         ge, gg = rho[0, 1], rho[0, 0]
         d_ee = -0.5j * omega * (ge - eg) - gamma * ee

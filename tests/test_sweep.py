@@ -111,11 +111,31 @@ class TestSweepSpec:
         ({"settings": {"n_samples": 2.7}}, "n_samples"),
         ({"settings": {"n_samples": "abc"}}, "n_samples"),
         ({"settings": {"tol": 1e-6}}, "does not read"),
+        # A string was read as its number.
+        ({"tol": "1e-6"}, "tol must be a number, got '1e-6'"),
+        ({"settings": {"t_final": "2"}}, "t_final must be a number, got '2'"),
+        ({"settings": {"n_samples": "3"}}, "n_samples must be a number, got '3'"),
     ])
     def test_dynamics_settings(self, overrides, message):
         doc = {"mode": "dynamics", "grids": {"n_atoms": [2], "rabi": [1.0]}}
         with pytest.raises(ConfigError, match=message):
             SweepSpec.from_dict({**doc, **overrides})
+
+    @pytest.mark.parametrize("mode, grids", [
+        ("steady_state", {"n_atoms": ["10"], "rabi": [1.0]}),
+        ("steady_state", {"n_atoms": [4], "rabi": [None]}),
+        ("phase_diagram", {"n_atoms": [4], "beta": [[1.0]]}),
+        ("screening_curve", {"n_atoms": [None], "beta": [0.5]}),
+        ("screening_curve", {"n_atoms": [10.0], "beta": [{}]}),
+        ("cooperativity", {"ell_ax": ["22.5"], "ell_rad": [0.5]}),
+        ("dynamics", {"n_atoms": [2], "rabi": ["1"]}),
+    ])
+    def test_grid_value_that_is_not_a_number(self, mode, grids):
+        # A string was read as its number, and null, a list or an object
+        # escaped the row builders as a TypeError.
+        name = next(k for k, grid in grids.items() if not isinstance(grid[0], (int, float)))
+        with pytest.raises(ConfigError, match=f"grid '{name}' must hold numbers"):
+            SweepSpec.from_dict({"mode": mode, "grids": grids})
 
     def test_screening_keeps_real_n_atoms(self):
         spec = SweepSpec.from_dict({

@@ -324,10 +324,11 @@ class TestScreeningRows:
         assert rows == want
 
     def test_bad_grid_value_raises_as_before(self):
-        spec = SweepSpec.from_dict({"mode": "screening_curve",
-                                    "grids": {"n_atoms": [2.0, "x"], "beta": ["y"]}})
-        with pytest.raises(ValueError, match="'y'"):
-            run(spec)
+        # Still a ValueError that names the value, now a ConfigError of
+        # the spec: no point is solved.
+        with pytest.raises(ValueError, match=r"grid 'n_atoms' must hold numbers, got \[2\.0, 'x'\]"):
+            SweepSpec.from_dict({"mode": "screening_curve",
+                                 "grids": {"n_atoms": [2.0, "x"], "beta": ["y"]}})
 
     def test_serial_matches_two_workers_with_invalid_points(self, monkeypatch):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
