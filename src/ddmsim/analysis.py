@@ -9,6 +9,7 @@ atom number gives the superradiance exponent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,9 +78,25 @@ def obe_excited_population(omega: float, gamma: float, t):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("t must be >= 0")
-    n_inf = omega**2 / (2.0 * omega**2 + gamma**2)
+    out = _obe_model(omega, gamma, t)
+    return out if out.ndim else float(out)
+
+
+def _obe_model(omega: float, gamma: float, t: np.ndarray) -> np.ndarray:
+    """The damped-Rabi model at t, its arguments unchecked (`_obe_terms`)."""
+    n_inf, _, envelope, cos_term, sinc_term = _obe_terms(omega, gamma, t)
+    return n_inf * (1.0 - envelope * (cos_term + 0.75 * gamma * sinc_term))
+
+
+def _obe_terms(omega: float, gamma: float, t: np.ndarray):
+    """(n_inf, w^2, e^{-3 gamma t/4}, cos(w t), sin(w t)/w) of the
+    damped-Rabi model, for omega, gamma >= 0 and t >= 0 unchecked. At
+    omega = gamma = 0, where n_inf has no limit, it is taken as 0: the
+    model is then 0 at every t, its limit there."""
+    den = 2.0 * omega**2 + gamma**2
+    n_inf = omega**2 / den if den else 0.0
     w_sq = omega**2 - gamma**2 / 16.0
-    if abs(w_sq) < 1e-14 * gamma**2:
+    if abs(w_sq) < 1e-14 * gamma**2 or w_sq == 0.0:
         cos_term = np.ones_like(t)
         sinc_term = t  # sin(w t)/w -> t as w -> 0
     elif w_sq > 0:
@@ -90,10 +107,39 @@ def obe_excited_population(omega: float, gamma: float, t):
         w = np.sqrt(-w_sq)
         cos_term = np.cosh(w * t)
         sinc_term = np.sinh(w * t) / w
-    out = n_inf * (
-        1.0 - np.exp(-0.75 * gamma * t) * (cos_term + 0.75 * gamma * sinc_term)
-    )
-    return out if out.ndim else float(out)
+    return n_inf, w_sq, np.exp(-0.75 * gamma * t), cos_term, sinc_term
+
+
+# d/dx of sin(sqrt x)/sqrt x = sum_k>=1 k (-x)^(k-1) (-1)/(2k+1)!, highest
+# power first; at |x| < 0.1 the terms left out are below 1e-17 of it.
+_SINC_SLOPE = [(-1.0) ** k * k / math.factorial(2 * k + 1) for k in range(7, 0, -1)]
+
+
+def _obe_jacobian(omega: float, gamma: float, t: np.ndarray) -> np.ndarray:
+    """d n_e/d omega and d n_e/d gamma of `obe_excited_population` at t,
+    as the columns of a (t.size, 2) array.
+
+    The oscillating terms are differentiated in w^2 = omega^2 - gamma^2/16,
+    in which cos(w t) and sin(w t)/w are entire: d cos/d w^2 = -t sinc/2
+    and d sinc/d w^2 = (t cos - sinc)/(2 w^2), the latter summed as its
+    series in x = w^2 t^2 where |x| < 0.1, so the columns stay finite and
+    accurate at and around the critical point omega = gamma/4.
+    """
+    n_inf, w_sq, envelope, cos_term, sinc_term = _obe_terms(omega, gamma, t)
+    x = w_sq * t * t
+    near = np.abs(x) < 0.1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dsinc = np.where(near, t**3 * np.polyval(_SINC_SLOPE, x),
+                         (t * cos_term - sinc_term) / (2.0 * w_sq))
+    osc = cos_term + 0.75 * gamma * sinc_term
+    dosc = 0.75 * gamma * dsinc - 0.5 * t * sinc_term  # d osc/d w^2
+    den = 2.0 * omega**2 + gamma**2
+    inv_sq = 1.0 / den**2 if den else 0.0
+    rise = 1.0 - envelope * osc
+    d_omega_sq = gamma**2 * inv_sq * rise - n_inf * envelope * dosc
+    d_gamma = (-2.0 * gamma * omega**2 * inv_sq * rise + n_inf * envelope
+               * (0.75 * t * osc - 0.75 * sinc_term + 0.125 * gamma * dosc))
+    return np.stack([2.0 * omega * d_omega_sq, d_gamma], axis=1)
 
 
 def _initial_rabi_guess(trace: TimeTrace) -> float:
@@ -133,14 +179,24 @@ def fit_omega_eff(trace: TimeTrace) -> FitResult:
     # Imported here so that subcommands that fit no trace never load it.
     from scipy.optimize import least_squares
 
+    # The model depends on omega through omega^2 alone, and the fit runs
+    # on the magnitudes |p| in place of bounds on them: MINPACK's
+    # Levenberg-Marquardt with the analytic Jacobian.
+    times, values = trace.times, trace.values
+
     def residuals(p):
-        return obe_excited_population(p[0], p[1], trace.times) - trace.values
+        return _obe_model(abs(float(p[0])), abs(float(p[1])), times) - values
+
+    def jacobian(p):
+        return (_obe_jacobian(abs(float(p[0])), abs(float(p[1])), times)
+                * np.copysign(1.0, p))
 
     x0 = [_initial_rabi_guess(trace), 1.0]
     res = least_squares(
         residuals,
         x0,
-        bounds=([0.0, 1e-6], [np.inf, np.inf]),
+        jac=jacobian,
+        method="lm",
         xtol=1e-14,
         ftol=1e-14,
         gtol=1e-14,
@@ -148,19 +204,21 @@ def fit_omega_eff(trace: TimeTrace) -> FitResult:
     )
     if not res.success:
         raise FitConvergenceError(
-            f"damped-Rabi fit did not converge: {res.message}", best_params=res.x
+            f"damped-Rabi fit did not converge: {res.message}",
+            best_params=np.abs(res.x),
         )
     n_pts = trace.times.size
     rms = float(np.sqrt(2.0 * res.cost / n_pts))
-    jtj = res.jac.T @ res.jac
+    jac = res.jac * np.copysign(1.0, res.x)  # in (omega, decay)
+    jtj = jac.T @ jac
     dof = max(n_pts - 2, 1)
     try:
         cov = np.linalg.inv(jtj) * (2.0 * res.cost / dof)
     except np.linalg.LinAlgError:
         cov = np.full((2, 2), np.inf)
     return FitResult(
-        omega_eff=float(res.x[0]),
-        decay=float(res.x[1]),
+        omega_eff=abs(float(res.x[0])),
+        decay=abs(float(res.x[1])),
         residual_rms=rms,
         covariance=cov,
     )

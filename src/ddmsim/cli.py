@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -177,7 +178,13 @@ def _read_table(path: str, names) -> dict:
     as nan, which `_column` reports by its data row, and a row shorter
     than the header adds nothing to the columns it lacks. A named column
     that the header holds twice is a ConfigError.
+
+    A plain table (`_read_plain`) is read by numpy's tokenizer; any other
+    goes through `csv.reader`, cell by cell.
     """
+    table = _read_plain(path, names)
+    if table is not None:
+        return table
     with open(path, newline="") as fh:
         lines = (ln for ln in fh if not ln.startswith("#"))
         rows = [row for row in csv.reader(lines) if any(map(str.strip, row))]
@@ -194,6 +201,39 @@ def _read_table(path: str, names) -> dict:
             table[name] = np.array([_real(row[k]) for row in rows[1:] if k < len(row)],
                                    dtype=float)
     return table
+
+
+def _read_plain(path: str, names):
+    """The named columns of a plain table, or None.
+
+    Plain is: '#' lines, then an unquoted, non-blank header that names
+    each read column at most once and at least one of them, then a body
+    with no line that starts with '#' and a cell that is not blank. Its
+    rows are read by `np.loadtxt`, whose tokenizer splits and unquotes
+    cells as `csv.reader` does and skips empty lines. Anything else that
+    `csv.reader` would read otherwise, a blank-cell or ragged row or a
+    cell that is not a number, makes loadtxt raise ValueError; so does a
+    number that numpy's parser does not take as `float()` does (`1_0`,
+    non-ASCII digits), and the caller reads it cell by cell.
+    """
+    with open(path, newline="") as fh:
+        line = next(fh, "")
+        while line.startswith("#"):
+            line = next(fh, "")
+        body = fh.read()
+    header = [cell.strip() for cell in line.rstrip("\r\n").split(",")]
+    read = [name for name in names if name in header]
+    if ('"' in line or not any(header) or not read or not body.strip()
+            or body.startswith("#") or "\n#" in body or "\r#" in body
+            or any(header.count(name) > 1 for name in read)):
+        return None
+    try:
+        values = np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
+                            quotechar='"', usecols=[header.index(name) for name in read],
+                            ndmin=2)
+    except ValueError:
+        return None
+    return dict(zip(read, values.T.copy()))
 
 
 def _column(table: dict, name: str, path: str) -> np.ndarray:

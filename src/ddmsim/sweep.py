@@ -1,8 +1,8 @@
 """Declarative parameter sweeps with machine-readable CSV output.
 
 A sweep is described by a JSON document (schema version 1) selecting one
-mode and the parameter grids to scan. Results are tabulated
-row-by-point with per-row convergence diagnostics, and written as CSV
+mode and the parameter grids to scan. Results are tabulated, column by
+column, with per-row convergence diagnostics, and written as CSV
 with a '#'-prefixed JSON metadata header so the tables are archivable
 and trivially plottable.
 """
@@ -17,7 +17,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, product, repeat
+from itertools import chain, product
 
 import numpy as np
 
@@ -77,6 +77,8 @@ class SweepSpec:
                 raise ConfigError(f"mode {self.mode!r} needs a non-empty list {name!r}")
             if not all(map(_is_real, grid)):
                 raise ConfigError(f"grid {name!r} must hold numbers, got {grid!r}")
+            if not _fits_float(grid):
+                raise ConfigError(f"grid {name!r} holds a number beyond the float range")
         extra = set(self.grids) - set(mode.grids)
         if extra:
             raise ConfigError(f"unknown grids for mode {self.mode!r}: {sorted(extra)}")
@@ -99,6 +101,8 @@ class SweepSpec:
         for name, value in scalars:
             if not _is_real(value):
                 raise ConfigError(f"{name} must be a number, got {value!r}")
+            if not _fits_float([value]):
+                raise ConfigError(f"{name} is beyond the float range")
         for name, value in ("tol", self.tol), ("t_final", t_final):
             if not 0 < value < math.inf:
                 raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
@@ -131,13 +135,70 @@ class SweepSpec:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+def _fits_float(values) -> bool:
+    """Whether float() holds every value: an int of more than 308 digits
+    overflows it."""
+    try:
+        list(map(float, values))
+    except OverflowError:
+        return False
+    return True
+
+
 @dataclass
 class SweepResult:
-    """Tabular sweep output: metadata header plus one row per point."""
+    """Tabular sweep output: metadata header plus the table of every
+    point's rows, one list of cells per column (see `_concat`).
+
+    `columns` are the columns written, in order; the table holds every
+    column of the mode.
+    """
 
     metadata: dict
     columns: list
-    rows: list
+    table: dict
+
+    @property
+    def rows(self) -> list:
+        """The table as one dict per row, without the cells it lacks."""
+        return _rows(self.table)
+
+
+def _rows(table) -> list:
+    names = list(table)
+    return [{name: cell for name, cell in zip(names, cells) if cell != ""}
+            for cells in zip(*table.values())]
+
+
+def _concat(tables, names) -> dict:
+    """The tables one after another, as one table of the named columns.
+
+    A table is a dict of column name to list of cells, every list the
+    same length; "" is the cell of a column a row lacks, in a table that
+    lacks that column too.
+    """
+    out = {name: [] for name in names}
+    for table in tables:
+        size = len(table["status"])
+        for name, cells in out.items():
+            cells += table[name] if name in table else [""] * size
+    return out
+
+
+def _put(table, k, row):
+    """Write the one-row table `row` over row k of `table`, "" in the
+    columns that `row` lacks."""
+    for name, cells in table.items():
+        cells[k] = row[name][0] if name in row else ""
+
+
+def _fill(table, index, columns):
+    """Write each of the columns, a list of cells per name, into rows
+    `index` of the table."""
+    for name, values in columns.items():
+        cells = table[name]
+        for k, value in zip(index, values):
+            cells[k] = value
 
 
 def _dynamics_rows(point, tol, settings):
@@ -149,14 +210,12 @@ def _dynamics_rows(point, tol, settings):
         DickeLadderState.ground(n), params, t_final, tol=tol, n_samples=n_samples
     )
     obs = observables(trajectory)  # one call for every sample
-    columns = zip(times.tolist(), obs.n_e.tolist(), obs.s_z.tolist(),
-                  obs.dipole.real.tolist(), obs.dipole.imag.tolist(),
-                  obs.gamma_sr.tolist(), np.abs(trajectory.traces - 1.0).tolist())
-    return [{
-        "n_atoms": n, "rabi": rabi, "t": t,
-        "n_e": n_e, "s_z": s_z, "re_dipole": re, "im_dipole": im,
-        "gamma_sr": gamma_sr, "residual": residual, "status": "ok",
-    } for t, n_e, s_z, re, im, gamma_sr, residual in columns]
+    size = times.size
+    return {"n_atoms": [n] * size, "rabi": [rabi] * size, "t": times.tolist(),
+            "n_e": obs.n_e.tolist(), "s_z": obs.s_z.tolist(),
+            "re_dipole": obs.dipole.real.tolist(), "im_dipole": obs.dipole.imag.tolist(),
+            "gamma_sr": obs.gamma_sr.tolist(),
+            "residual": np.abs(trajectory.traces - 1.0).tolist(), "status": ["ok"] * size}
 
 
 # Slots, N + 1 a point, that one `steady_columns` call may take: points
@@ -167,37 +226,40 @@ _STEADY_SLOTS = 1 << 15
 
 
 def _steady_rows(chunk, *_, drive="rabi"):
-    """The rows of a chunk of (n_atoms, drive) points, drive being rabi or,
-    in the phase diagram, beta (rabi = beta N/2). Points are checked
+    """The table of a chunk of (n_atoms, drive) points, drive being rabi
+    or, in the phase diagram, beta (rabi = beta N/2). Points are checked
     through ModelParams one by one, grouped into runs of equal N and
     solved by `steady_columns`, one call per `_slices` slice; a point
     failing either is an error row with the text it raised when solved on
     its own."""
-    names, rows, runs = ("n_atoms", drive), [], {}
+    names = ("n_atoms", drive)
+    table = {name: [""] * len(chunk) for name in _STEADY_TABLE}
+    runs = {}
     for k, point in enumerate(chunk):
         try:
             n, value = int(point[0]), float(point[1])
             rabi = 0.5 * value * n if drive == "beta" else value
             params = ModelParams(n_atoms=n, rabi=rabi)
         except Exception as exc:
-            rows.append(_error_row(dict(zip(names, point)), exc))
+            _put(table, k, _error_row(dict(zip(names, point)), exc))
             continue
         runs.setdefault(params.n_atoms, []).append((k, params))
-        rows.append(None)
     for members in _slices(runs.values()):
         index, group = zip(*members)
         try:
             columns, faults = steady_columns(group)
         except Exception as exc:  # an N too large for its O(N) tables
             columns, faults = {}, dict.fromkeys(range(len(group)), exc)
-        cells = zip(*(column.tolist() for column in columns.values()))
-        for k, params, values in zip(index, group, cells):
-            beta = float(chunk[k][1]) if drive == "beta" else params.beta
-            rows[k] = {"n_atoms": params.n_atoms, "rabi": params.rabi, "beta": beta,
-                       **dict(zip(columns, values)), "status": "ok"}
+        betas = ([float(chunk[k][1]) for k in index] if drive == "beta"
+                 else [params.beta for params in group])
+        _fill(table, index, {
+            "n_atoms": [params.n_atoms for params in group],
+            "rabi": [params.rabi for params in group], "beta": betas,
+            **{name: column.tolist() for name, column in columns.items()},
+            "status": ["ok"] * len(group)})
         for j, error in faults.items():
-            rows[index[j]] = _error_row(dict(zip(names, chunk[index[j]])), error)
-    return rows
+            _put(table, index[j], _error_row(dict(zip(names, chunk[index[j]])), error))
+    return table
 
 
 def _slices(runs):
@@ -218,17 +280,17 @@ def _slices(runs):
 
 
 def _error_row(point, error):
-    """The row of a point that failed: its grid values as floats, a nan
-    residual and the status `error: <error>`."""
-    return {**{k: float(v) for k, v in point.items()},
-            "residual": math.nan, "status": f"error: {error}"}
+    """The one-row table of a point that failed: its grid values as
+    floats, a nan residual and the status `error: <error>`."""
+    return {**{k: [float(v)] for k, v in point.items()},
+            "residual": [math.nan], "status": [f"error: {error}"]}
 
 
 _SCREENING_FLOATS = ("n_atoms", "beta", "x", "x_asymptote", "residual")
 
 
 def _screening_rows(chunk, *_):
-    """The rows of a chunk of (n_atoms, beta) points, solved as arrays.
+    """The table of a chunk of (n_atoms, beta) points, solved as arrays.
 
     A point that `solve_x` cannot solve, or whose row holds a non-finite
     number, becomes an error row with the text the point raised when
@@ -251,12 +313,11 @@ def _screening_rows(chunk, *_):
         bad = [name for name, v in zip(_SCREENING_FLOATS, values[:, k])
                if not math.isfinite(v)]
         errors[int(k)] = f"non-finite {', '.join(bad)}"
-    rows = [{"n_atoms": n_k, "beta": beta_k, "x": x_k, "x_asymptote": asym_k,
-             "residual": residual_k, "status": "ok"}
-            for n_k, beta_k, x_k, asym_k, residual_k in values.T.tolist()]
+    table = dict(zip(_SCREENING_FLOATS, values.tolist()))
+    table["status"] = ["ok"] * n.size
     for k, text in errors.items():
-        rows[k] = _error_row({"n_atoms": n[k], "beta": beta[k]}, text)
-    return rows
+        _put(table, k, _error_row({"n_atoms": n[k], "beta": beta[k]}, text))
+    return table
 
 
 # Clouds that one `cooperativity_column` call may take: its interval
@@ -266,47 +327,52 @@ _MU_POINTS = 1 << 10
 
 
 def _mu_rows(chunk, *_):
-    """The rows of a chunk of (ell_ax, ell_rad) points. Points are checked
-    through CloudGeometry one by one and integrated by
+    """The table of a chunk of (ell_ax, ell_rad) points. Points are
+    checked through CloudGeometry one by one and integrated by
     `cooperativity_column`, one call per _MU_POINTS valid points; a point
     failing either, or whose row holds a non-finite number, is an error
     row with the text it raised when integrated on its own."""
-    names, rows, valid = ("ell_ax", "ell_rad"), [], []
+    names = ("ell_ax", "ell_rad")
+    table = {name: [""] * len(chunk) for name in (*names, "mu", "small_angle_estimate",
+                                                   "residual", "status")}
+    valid = []
     for k, point in enumerate(chunk):
         try:
             valid.append((k, CloudGeometry(ell_ax=float(point[0]),
                                            ell_rad=float(point[1]))))
         except (TypeError, ValueError) as exc:
-            rows.append(_error_row(dict(zip(names, point)), exc))
-            continue
-        rows.append(None)
+            _put(table, k, _error_row(dict(zip(names, point)), exc))
     for start in range(0, len(valid), _MU_POINTS):
         index, geoms = zip(*valid[start:start + _MU_POINTS])
         mu, faults = cooperativity_column(geoms)
-        for j, (k, geom, mu_k) in enumerate(zip(index, geoms, mu.tolist())):
-            small = 1.0 / (2.0 * math.pi * geom.ell_ax)
-            rows[k] = {"ell_ax": geom.ell_ax, "ell_rad": geom.ell_rad, "mu": mu_k,
-                       "small_angle_estimate": small, "residual": 0.0, "status": "ok"}
-            # The sizes are finite once checked, so only these two can fail.
-            if j not in faults and not (math.isfinite(mu_k) and math.isfinite(small)):
-                bad = [name for name, v in (("mu", mu_k), ("small_angle_estimate", small))
+        ell_ax = [geom.ell_ax for geom in geoms]
+        with np.errstate(over="ignore", divide="ignore"):
+            small = 1.0 / (2.0 * math.pi * np.array(ell_ax))
+        # The sizes are finite once checked, so only these two can fail.
+        for j in np.flatnonzero(~(np.isfinite(mu) & np.isfinite(small))).tolist():
+            if j not in faults:
+                bad = [name for name, v in (("mu", mu[j]), ("small_angle_estimate", small[j]))
                        if not math.isfinite(v)]
                 faults[j] = f"non-finite {', '.join(bad)}"
+        _fill(table, index, {
+            "ell_ax": ell_ax, "ell_rad": [geom.ell_rad for geom in geoms],
+            "mu": mu.tolist(), "small_angle_estimate": small.tolist(),
+            "residual": [0.0] * len(geoms), "status": ["ok"] * len(geoms)})
         for j, error in faults.items():
-            rows[index[j]] = _error_row(dict(zip(names, chunk[index[j]])), error)
-    return rows
+            _put(table, index[j], _error_row(dict(zip(names, chunk[index[j]])), error))
+    return table
 
 
 @dataclass(frozen=True)
 class SweepMode:
     """One sweep mode, as the spec, the sweep and the CLI all see it.
 
-    `rows(point, tol, settings)` returns the rows of one point, given as
-    a dict of grid values; an exception it raises becomes the point's
-    error row. A batched mode's `rows(chunk, tol, settings)` takes a
-    list of grid tuples instead and returns their rows, error rows
-    included. Row builders reach the layers through this module's
-    globals at call time, so a wrapper installed on
+    `rows(point, tol, settings)` returns the table (see `_concat`) of
+    one point, given as a dict of grid values; an exception it raises
+    becomes the point's error row. A batched mode's `rows(chunk, tol,
+    settings)` takes a list of grid tuples instead and returns their
+    table, error rows included. Row builders reach the layers through
+    this module's globals at call time, so a wrapper installed on
     `ddmsim.sweep.<name>` sees every call.
     """
 
@@ -318,8 +384,14 @@ class SweepMode:
     rows: object  # row builder
     batched: bool = False  # rows takes a chunk of points
 
+    @property
+    def table_columns(self) -> tuple:
+        """Every column of the mode's tables, in order."""
+        return tuple(dict.fromkeys(self.grids + self.columns + ("residual", "status")))
+
 
 _STEADY_COLUMNS = ("s_z", "n_e", "re_dipole", "im_dipole", "gamma_sr", "g2")
+_STEADY_TABLE = ("n_atoms", "rabi", "beta", *_STEADY_COLUMNS, "residual", "status")
 
 SWEEP_MODES = {
     "dynamics": SweepMode(
@@ -346,17 +418,17 @@ def _eval_point(task):
     try:
         return SWEEP_MODES[mode].rows(point, tol, settings)
     except Exception as exc:  # per-point failures are recorded, not fatal
-        return [_error_row(point, exc)]
+        return _error_row(point, exc)
 
 
 def _eval_chunk(task):
-    """The rows of a chunk of grid tuples, in grid order."""
+    """The table of a chunk of grid tuples, in grid order."""
     name, chunk, tol, settings = task
     mode = SWEEP_MODES[name]
     if mode.batched:
         return mode.rows(chunk, tol, settings)
-    return [row for combo in chunk for row in
-            _eval_point((name, dict(zip(mode.grids, combo)), tol, settings))]
+    return _concat([_eval_point((name, dict(zip(mode.grids, combo)), tol, settings))
+                    for combo in chunk], mode.table_columns)
 
 
 def run(spec: SweepSpec, threads: int = 1) -> SweepResult:
@@ -389,10 +461,11 @@ def run(spec: SweepSpec, threads: int = 1) -> SweepResult:
     else:
         chunks = [_eval_chunk(task) for task in tasks]
 
-    rows = [row for chunk in chunks for row in chunk]
-    if rows and all(str(r.get("status", "")).startswith("error") for r in rows):
+    table = _concat(chunks, mode.table_columns)
+    status = table["status"]
+    if status and all(text.startswith("error") for text in status):
         raise AllPointsFailedError(
-            f"all {len(points)} sweep points failed; first: {rows[0]['status']}"
+            f"all {len(points)} sweep points failed; first: {status[0]}"
         )
 
     observable_cols = [c for c in mode.columns if not spec.outputs or c in spec.outputs]
@@ -407,7 +480,7 @@ def run(spec: SweepSpec, threads: int = 1) -> SweepResult:
         "mode": spec.mode,
         "n_points": len(points),
     }
-    return SweepResult(metadata=metadata, columns=columns, rows=rows)
+    return SweepResult(metadata=metadata, columns=columns, table=table)
 
 
 def _text_cell(value) -> str:
@@ -439,13 +512,12 @@ def format_csv(result: SweepResult) -> str:
     A float cell is written as .12g and any other as str(); a cell that
     holds a comma, quote or newline (error text in `status`) is quoted
     as the csv module quotes it. The body is one %-template, the row
-    template repeated once per row, applied to every cell at once.
+    template repeated once per row, applied to every cell at once, read
+    column by column from the table.
     """
-    rows = result.rows
-    formats, columns = zip(*(
-        _column_template(list(map(dict.get, rows, repeat(name), repeat(""))))
-        for name in result.columns))
-    template = (",".join(formats) + "\n") * len(rows)
+    formats, columns = zip(*(_column_template(result.table[name])
+                             for name in result.columns))
+    template = (",".join(formats) + "\n") * len(columns[0])
     return ("# " + json.dumps(result.metadata, sort_keys=True) + "\n"
             + ",".join(map(_text_cell, result.columns)) + "\n"
             + template % tuple(chain.from_iterable(zip(*columns))))

@@ -9,6 +9,7 @@ from ddmsim.analysis import (
     FitConvergenceError,
     TimeTrace,
     _initial_rabi_guess,
+    _obe_jacobian,
     UnderdeterminedFitError,
     fit_omega_eff,
     fit_power_law,
@@ -100,6 +101,21 @@ class TestObeInputs:
             obe_excited_population(omega, gamma, t)
 
 
+# fit_omega_eff of the benchmark's traces (t = 8, 161 samples) as the
+# parent's finite-difference trust-region fit found them: (N, beta,
+# omega_eff, decay, residual_rms).
+DENSE_FITS = [
+    (3, 0.5, 0.6643620730879262, 2.366658670115013, 0.0007536067168278668),
+    (3, 1.5, 1.7983697189906485, 1.359125521083873, 0.005355380394707175),
+    (10, 0.5, 2.231831685783683, 7.980491622180007, 0.0003900180582830836),
+    (10, 1.5, 5.1384241115997495, 2.0243331044435457, 0.010115493190274917),
+    (17, 0.5, 3.812679477551617, 13.66815008842085, 0.0002788377185603667),
+    (17, 1.5, 8.639136736049414, 2.4733485457353, 0.014975650250152659),
+    (24, 0.5, 5.392523642647234, 19.349843408761792, 0.00022984892207585837),
+    (24, 1.5, 12.291441740224462, 2.713277721284564, 0.019326785136457678),
+]
+
+
 def fake_least_squares(**fields):
     """A stand-in for scipy's least_squares that returns a fixed result."""
     def least_squares(fun, x0, **_kwargs):
@@ -164,6 +180,35 @@ class TestFitOmegaEff:
         ]
         assert np.all(np.diff(fitted) < 0)
 
+    @pytest.mark.parametrize("n, beta, omega_eff, decay, rms", DENSE_FITS)
+    def test_benchmark_traces_keep_their_values(self, n, beta, omega_eff, decay, rms):
+        t, traj = evolve(DickeLadderState.ground(n), ModelParams(n_atoms=n, rabi=0.5 * beta * n),
+                         8.0, tol=1e-11 if n <= 4 else 1e-8, n_samples=161)
+        fit = fit_omega_eff(TimeTrace(times=t, values=observables(traj).n_e))
+        assert fit.omega_eff == pytest.approx(omega_eff, rel=1e-8, abs=0.0)
+        assert fit.decay == pytest.approx(decay, rel=1e-8, abs=0.0)
+        assert fit.residual_rms == pytest.approx(rms, rel=1e-8, abs=0.0)
+
+    def test_decay_at_zero_is_no_value_error(self, monkeypatch):
+        # The fit runs on |decay| with no bound, so Levenberg-Marquardt
+        # may step onto decay = 0, where obe_excited_population raises
+        # the ValueError that the CLI reports as a config error.
+        seen = []
+        solve = scipy.optimize.least_squares
+
+        def via_zero(fun, x0, jac, **kwargs):
+            for p in ([x0[0], 0.0], [0.0, 0.0], [-x0[0], -1.0]):
+                seen.append((fun(np.array(p)), jac(np.array(p))))
+            return solve(fun, x0, jac=jac, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "least_squares", via_zero)
+        t = np.linspace(0.0, 10.0, 200)
+        undamped = 0.5 * (1.0 - np.cos(3.0 * t))  # the model at decay 0
+        fit = fit_omega_eff(TimeTrace(times=t, values=undamped))
+        assert all(np.all(np.isfinite(f)) and np.all(np.isfinite(j)) for f, j in seen)
+        assert fit.omega_eff == pytest.approx(3.0, rel=1e-9)
+        assert fit.decay < 1e-9 and fit.residual_rms < 1e-9
+
     def test_rejects_flat_trace(self):
         t = np.linspace(0, 5, 50)
         with pytest.raises(UnderdeterminedFitError):
@@ -178,6 +223,25 @@ class TestFitOmegaEff:
             fit_omega_eff(
                 TimeTrace(times=t, values=obe_excited_population(3.0, 1.0, t))
             )
+
+
+class TestAnalyticJacobian:
+    @pytest.mark.parametrize("omega, gamma", [
+        (2.0, 1.0), (12.3, 2.7), (0.3, 1.0),  # above gamma/4
+        (0.25, 1.0), (0.25 * (1 + 1e-9), 1.0), (1.975, 7.9),  # at it
+        (0.2, 1.0), (0.1, 1.0), (5.4, 19.3),  # below it
+    ])
+    def test_matches_central_differences(self, omega, gamma):
+        t = np.linspace(0.0, 8.0, 161)
+        jac = _obe_jacobian(omega, gamma, t)
+        for k, (p, h) in enumerate(((omega, 1e-5 * omega), (gamma, 1e-5 * gamma))):
+            up, down = [omega, gamma], [omega, gamma]
+            up[k], down[k] = p + h, p - h
+            central = (obe_excited_population(*up, t)
+                       - obe_excited_population(*down, t)) / (2.0 * h)
+            assert np.all(np.isfinite(jac[:, k]))
+            np.testing.assert_allclose(jac[:, k], central, rtol=1e-6,
+                                       atol=1e-6 * np.abs(central).max())
 
 
 class TestTimeTrace:

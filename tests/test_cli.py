@@ -56,6 +56,13 @@ class TestSweepCommands:
         assert code == 0
         assert out.split("\n")[1] == "n_atoms,rabi,n_e,g2,residual,status"
 
+    def test_integer_beyond_the_float_range_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"grids": {"n_atoms": [1' + "0" * 340 + '], "rabi": [1.0]}}')
+        assert main(["steady", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "ddmsim: config error: grid 'n_atoms' holds a number beyond the float range\n")
+
     def test_invalid_json_config_exits_1(self, capsys, tmp_path):
         path = tmp_path / "sweep.json"
         path.write_text('{"mode": "steady_state",')

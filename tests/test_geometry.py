@@ -21,7 +21,7 @@ from ddmsim.geometry import (
     cooperativity_column,
     cooperativity_mu,
 )
-from ddmsim.sweep import SweepSpec, _eval_chunk, format_csv, run
+from ddmsim.sweep import SweepSpec, _concat, _eval_chunk, _rows, format_csv, run
 
 
 def envelope(u, geom):
@@ -227,7 +227,7 @@ class TestExtremeSizes:
     # axial exponent overflows to inf (at MAX_SIZE) or a width to inf.
     @staticmethod
     def mu_row(ell_ax, ell_rad):
-        (row,) = _eval_chunk(("cooperativity", [(ell_ax, ell_rad)], 1e-8, {}))
+        (row,) = _rows(_eval_chunk(("cooperativity", [(ell_ax, ell_rad)], 1e-8, {})))
         return row
 
     def test_underflowing_radius_is_point_cloud_in_radius(self):
@@ -348,7 +348,7 @@ class TestBatchedRule:
                                    f"error {info.value.achieved_tol:.3e}")
         # The three panels, then one bisection a round up to 200 intervals.
         assert calls == [3] + [2] * (ddmsim.geometry._LIMIT - 3)
-        (row,) = _eval_chunk(("cooperativity", [(22.5, 0.5)], 1e-8, {}))
+        (row,) = _rows(_eval_chunk(("cooperativity", [(22.5, 0.5)], 1e-8, {})))
         assert row["status"] == f"error: {info.value}"
         assert math.isnan(row["residual"]) and "mu" not in row
 
@@ -369,7 +369,8 @@ def reference_mu_row(ell_ax, ell_rad):
             raise ValueError(f"non-finite {', '.join(bad)}")
         return row
     except Exception as exc:
-        return ddmsim.sweep._error_row(point, exc)
+        (row,) = _rows(ddmsim.sweep._error_row(point, exc))
+        return row
 
 
 SIZES = st.one_of(st.floats(1e-3, 1e3), st.sampled_from(
@@ -382,7 +383,7 @@ class TestMuRows:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(SIZES, min_size=1, max_size=6), st.lists(SIZES, min_size=1, max_size=4))
     def test_rows_match_point_by_point(self, ell_ax, ell_rad):
-        rows = ddmsim.sweep._mu_rows(list(itertools.product(ell_ax, ell_rad)))
+        rows = _rows(ddmsim.sweep._mu_rows(list(itertools.product(ell_ax, ell_rad))))
         want = [reference_mu_row(ax, rad) for ax in ell_ax for rad in ell_rad]
         for got, ref in zip(rows, want, strict=True):
             assert got.keys() == ref.keys()
@@ -400,9 +401,10 @@ class TestMuRows:
                                     "grids": {"ell_ax": ell_ax, "ell_rad": ell_rad}})
         result = run(spec)
         whole = format_csv(result)
-        alone = [ddmsim.sweep._mu_rows([point])[0]
+        alone = [ddmsim.sweep._mu_rows([point])
                  for point in itertools.product(ell_ax, ell_rad)]
-        assert whole == format_csv(dataclasses.replace(result, rows=alone))
+        table = _concat(alone, list(result.table))
+        assert whole == format_csv(dataclasses.replace(result, table=table))
         assert whole == format_csv(run(spec, threads=2))
         assert sum(r["status"] == "ok" for r in result.rows) == 15
 

@@ -143,6 +143,33 @@ class TestSweepSpec:
         })
         assert run(spec).rows[0]["status"] == "ok"
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"mode": "steady_state", "grids": {"n_atoms": [10**400], "rabi": [1.0]}},
+         "grid 'n_atoms' holds a number beyond the float range"),
+        ({"mode": "steady_state", "grids": {"n_atoms": [2], "rabi": [1.0, -10**400]}},
+         "grid 'rabi' holds a number beyond the float range"),
+        ({"mode": "screening_curve", "grids": {"n_atoms": [10**400], "beta": [0.5]}},
+         "grid 'n_atoms' holds a number beyond the float range"),
+        ({"mode": "cooperativity", "grids": {"ell_ax": [10**400], "ell_rad": [0.5]}},
+         "grid 'ell_ax' holds a number beyond the float range"),
+        ({"mode": "dynamics", "grids": {"n_atoms": [2], "rabi": [1.0]}, "tol": 10**400},
+         "tol is beyond the float range"),
+        ({"mode": "dynamics", "grids": {"n_atoms": [2], "rabi": [1.0]},
+          "settings": {"t_final": 10**400}}, "t_final is beyond the float range"),
+        ({"mode": "dynamics", "grids": {"n_atoms": [2], "rabi": [1.0]},
+          "settings": {"n_samples": 10**400}}, "n_samples is beyond the float range"),
+    ])
+    def test_integer_beyond_the_float_range(self, doc, message):
+        # It escaped as an OverflowError, or became an error row.
+        with pytest.raises(ConfigError, match=message):
+            SweepSpec.from_dict(doc)
+
+    def test_large_integers_keep_their_hash(self):
+        doc = {"mode": "screening_curve", "grids": {"n_atoms": [10**300, 4], "beta": [2]}}
+        spec = SweepSpec.from_dict(doc)
+        assert spec.to_dict()["grids"] == doc["grids"]
+        assert type(spec.to_dict()["grids"]["n_atoms"][0]) is int
+
     def test_hash_stable(self):
         dynamics = {"mode": "dynamics", "grids": {"n_atoms": [2], "rabi": [1.0]}}
         assert make_spec().canonical_hash() == make_spec().canonical_hash()
@@ -349,7 +376,8 @@ class TestErrorRows:
         monkeypatch.setattr(ddmsim.sweep, "_error_row", counted)
         rows = run(SweepSpec.from_dict({"mode": mode, "grids": grids})).rows
         errors = [row for row in rows if row["status"] != "ok"]
-        assert errors == built and len(built) == failed
+        assert errors == [row for table in built for row in ddmsim.sweep._rows(table)]
+        assert len(built) == failed
         for row in errors:
             assert list(row)[-2:] == ["residual", "status"]
             assert all(type(v) is float for v in list(row.values())[:-1])

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import ddmsim.cli
 import ddmsim.ladder
 import ddmsim.sweep
 from ddmsim.cli import ConfigError, _column, _read_table, main
@@ -36,6 +37,13 @@ from ddmsim.sweep import SweepResult, SweepSpec, format_csv, run
 
 FAST = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
+
+
+def result_of(metadata, columns, rows):
+    """The SweepResult of row dicts: its table holds "" where a row lacks
+    a cell."""
+    return SweepResult(metadata=metadata, columns=columns,
+                       table={name: [row.get(name, "") for row in rows] for name in columns})
 
 
 # --- CSV writer -----------------------------------------------------------
@@ -87,8 +95,7 @@ def tables(draw):
     rows = [{name: draw(kinds[name]) for name in names
              if draw(st.integers(0, 9))}  # about one cell in ten is missing
             for _ in range(draw(st.integers(0, 12)))]
-    return SweepResult(metadata={"mode": "x", "n_points": len(rows)},
-                       columns=names, rows=rows)
+    return result_of({"mode": "x", "n_points": len(rows)}, names, rows)
 
 
 class TestFormatCsv:
@@ -102,11 +109,11 @@ class TestFormatCsv:
         'error: all, "of"\nthem', "ok",
     ])
     def test_error_text(self, status):
-        result = SweepResult(metadata={}, columns=["n_atoms", "beta", "x", "status"],
-                             rows=[{"n_atoms": 10.0, "beta": 0.5, "x": 0.1, "status": "ok"},
-                                   {"n_atoms": 10.0, "beta": math.nan, "status": status},
-                                   {"n_atoms": 10**13, "beta": -0.0, "x": math.inf,
-                                    "status": "ok"}])
+        result = result_of({}, ["n_atoms", "beta", "x", "status"],
+                           [{"n_atoms": 10.0, "beta": 0.5, "x": 0.1, "status": "ok"},
+                            {"n_atoms": 10.0, "beta": math.nan, "status": status},
+                            {"n_atoms": 10**13, "beta": -0.0, "x": math.inf,
+                             "status": "ok"}])
         assert format_csv(result) == reference_format_csv(result)
 
     @pytest.mark.parametrize("mode, grids", [
@@ -182,6 +189,34 @@ def csv_texts(draw):
     return end.join(lines) + end
 
 
+STATUS = st.text(alphabet=st.sampled_from('ab :,"\n-e0.'), max_size=12)
+NUMBER_CELLS = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                         st.integers(-10**15, 10**15))
+
+
+@st.composite
+def sweep_csv_texts(draw):
+    """(text, plain): a table as `format_csv` writes it, with quoted
+    status texts, nan and inf cells, now and then a row of blank cells,
+    and \n or \r\n line ends; plain when `_read_plain` must read it."""
+    names = draw(st.lists(st.sampled_from(FIT_COLUMNS + ("x",)), min_size=1,
+                          max_size=4, unique=True)) + ["status"]
+    rows, blank = [], False
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 9)) == 0:
+            rows.append({})
+            blank = True
+        else:
+            rows.append({**{name: draw(NUMBER_CELLS) for name in names[:-1]},
+                         "status": draw(st.sampled_from(["ok", "error: "]))
+                         + draw(STATUS)})
+    text = format_csv(result_of({"mode": "x"}, names, rows))
+    if draw(st.booleans()):
+        text = text.replace("\n", "\r\n")
+    read = any(name in FIT_COLUMNS for name in names)
+    return text, read and bool(rows) and not blank
+
+
 def same_columns(got, want):
     assert list(got) == list(want)
     for name in want:
@@ -224,6 +259,23 @@ class TestReadTable:
             else:
                 np.testing.assert_array_equal(
                     _column(_read_table(str(path), (name,)), name, "p"), expected)
+
+    @FAST
+    @given(sweep_csv_texts())
+    def test_sweep_tables_take_the_fast_path(self, tmp_path_factory, case):
+        text, plain = case
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        path.write_bytes(text.encode())
+        if plain:
+            assert ddmsim.cli._read_plain(str(path), FIT_COLUMNS) is not None
+        try:
+            want = reference_read_table(str(path))
+        except ConfigError:
+            with pytest.raises(ConfigError, match="no data rows"):
+                _read_table(str(path), FIT_COLUMNS)
+            return
+        same_columns(_read_table(str(path), FIT_COLUMNS),
+                     {n: want[n] for n in FIT_COLUMNS if n in want})
 
     def test_reads_only_the_named_columns(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -471,7 +523,7 @@ def reference_point_rows(mode, grids):
         try:
             rows += build(point)
         except Exception as exc:
-            rows.append(ddmsim.sweep._error_row(point, exc))
+            rows += ddmsim.sweep._rows(ddmsim.sweep._error_row(point, exc))
     return rows
 
 
@@ -614,9 +666,10 @@ class TestSteadyRows:
         whole = format_csv(result).splitlines()[2:]
         # A sweep of failing points alone raises, so each point is solved
         # alone by the mode's rows and written with the sweep's columns.
-        alone = [ddmsim.sweep._steady_rows([point], drive="beta")[0]
+        alone = [ddmsim.sweep._steady_rows([point], drive="beta")
                  for point in itertools.product(n_values, betas)]
-        assert whole == format_csv(dataclasses.replace(result, rows=alone)).splitlines()[2:]
+        table = ddmsim.sweep._concat(alone, list(result.table))
+        assert whole == format_csv(dataclasses.replace(result, table=table)).splitlines()[2:]
         assert whole == format_csv(run(spec, threads=2)).splitlines()[2:]
         status = [line.rsplit(",", 1)[-1] for line in whole]
         assert status.count("ok") == 18  # beta 0, 2.75 and 0.5 at the six valid N
