@@ -144,15 +144,17 @@ def _obe_jacobian(omega: float, gamma: float, t: np.ndarray) -> np.ndarray:
 
 def _initial_rabi_guess(trace: TimeTrace) -> float:
     values = trace.values
-    interior = np.flatnonzero(
-        (values[1:-1] > values[:-2]) & (values[1:-1] >= values[2:])
-    )
+    final = max(3, values.size // 10)
+    # The final samples are read as the saturation below, so a maximum
+    # among them is a rounding plateau, not the first Rabi peak.
+    head = values[: values.size - final + 1]
+    interior = np.flatnonzero((head[1:-1] > head[:-2]) & (head[1:-1] >= head[2:]))
     if interior.size:
         t_peak = trace.times[interior[0] + 1]
         if t_peak > 0:
             return np.pi / t_peak
     # No oscillation: invert the saturation value of the final samples.
-    tail = float(np.mean(values[-max(3, values.size // 10) :]))
+    tail = float(np.mean(values[-final:]))
     tail = min(max(tail, 1e-6), 0.499999)
     return np.sqrt(tail / (1.0 - 2.0 * tail))
 
@@ -162,8 +164,8 @@ def fit_omega_eff(trace: TimeTrace) -> FitResult:
 
     Free parameters are the effective Rabi frequency and the decay rate.
     The initial Rabi guess comes from the first local maximum of the
-    trace (pi/t_peak); the decay starts at the single-atom value, the
-    unit of every rate (gamma = 1).
+    trace before its final tenth (pi/t_peak); the decay starts at the
+    single-atom value, the unit of every rate (gamma = 1).
     """
     if trace.times.size < 10:
         raise ValueError(f"need at least 10 samples, got {trace.times.size}")

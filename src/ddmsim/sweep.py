@@ -14,7 +14,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, product
@@ -185,13 +184,6 @@ def _concat(tables, names) -> dict:
     return out
 
 
-def _put(table, k, row):
-    """Write the one-row table `row` over row k of `table`, "" in the
-    columns that `row` lacks."""
-    for name, cells in table.items():
-        cells[k] = row[name][0] if name in row else ""
-
-
 def _fill(table, index, columns):
     """Write each of the columns, a list of cells per name, into rows
     `index` of the table."""
@@ -225,26 +217,24 @@ def _dynamics_rows(point, tol, settings):
 _STEADY_SLOTS = 1 << 15
 
 
-def _steady_rows(chunk, *_, drive="rabi"):
-    """The table of a chunk of (n_atoms, drive) points, drive being rabi
-    or, in the phase diagram, beta (rabi = beta N/2). Points are checked
-    through ModelParams one by one, grouped into runs of equal N and
-    solved by `steady_columns`, one call per `_slices` slice; a point
-    failing either is an error row with the text it raised when solved on
-    its own."""
-    names = ("n_atoms", drive)
-    table = {name: [""] * len(chunk) for name in _STEADY_TABLE}
-    runs = {}
+def _steady_rows(chunk, table, drive="rabi"):
+    """The rows (see `SweepMode`) of (n_atoms, drive) points, drive being
+    rabi or, in the phase diagram, beta (rabi = beta N/2). Points are
+    checked through ModelParams one by one, grouped into runs of equal N
+    and solved by `steady_columns`, one call per `_slices` slice; a point
+    failing either fails with the error it raised when solved alone."""
+    errors, runs = {}, {}
     for k, point in enumerate(chunk):
         try:
             n, value = int(point[0]), float(point[1])
             rabi = 0.5 * value * n if drive == "beta" else value
             params = ModelParams(n_atoms=n, rabi=rabi)
         except Exception as exc:
-            _put(table, k, _error_row(dict(zip(names, point)), exc))
+            errors[k] = exc
             continue
         runs.setdefault(params.n_atoms, []).append((k, params))
-    for members in _slices(runs.values()):
+    for members in _slices(chain.from_iterable(runs.values()),
+                           lambda member: member[1].n_atoms + 1, _STEADY_SLOTS):
         index, group = zip(*members)
         try:
             columns, faults = steady_columns(group)
@@ -257,26 +247,29 @@ def _steady_rows(chunk, *_, drive="rabi"):
             "rabi": [params.rabi for params in group], "beta": betas,
             **{name: column.tolist() for name, column in columns.items()},
             "status": ["ok"] * len(group)})
-        for j, error in faults.items():
-            _put(table, index[j], _error_row(dict(zip(names, chunk[index[j]])), error))
-    return table
+        errors.update((index[j], error) for j, error in faults.items())
+    return errors
 
 
-def _slices(runs):
-    """The runs (lists of (index, params) of one N) cut and merged, in
-    order, into slices of at most _STEADY_SLOTS slots, N + 1 a point; a
-    point larger than that is a slice alone."""
-    merged, slots = [], 0
-    for run in runs:
-        size = run[0][1].n_atoms + 1
-        for member in run:
-            if merged and slots + size > _STEADY_SLOTS:
-                yield merged
-                merged, slots = [], 0
-            merged.append(member)
-            slots += size
+def _slices(members, size, budget):
+    """The members cut, in order, into slices whose size(member) add up
+    to at most `budget`; a member larger than that is a slice alone."""
+    merged, total = [], 0
+    for member in members:
+        weight = size(member)
+        if merged and total + weight > budget:
+            yield merged
+            merged, total = [], 0
+        merged.append(member)
+        total += weight
     if merged:
         yield merged
+
+
+def _nonfinite(names, values) -> str:
+    """The error text of a row whose named values are not all finite."""
+    return "non-finite " + ", ".join(
+        name for name, value in zip(names, values) if not math.isfinite(value))
 
 
 def _error_row(point, error):
@@ -289,13 +282,10 @@ def _error_row(point, error):
 _SCREENING_FLOATS = ("n_atoms", "beta", "x", "x_asymptote", "residual")
 
 
-def _screening_rows(chunk, *_):
-    """The table of a chunk of (n_atoms, beta) points, solved as arrays.
-
-    A point that `solve_x` cannot solve, or whose row holds a non-finite
-    number, becomes an error row with the text the point raised when
-    points were solved one by one.
-    """
+def _screening_rows(chunk, table):
+    """The rows (see `SweepMode`) of (n_atoms, beta) points, solved as
+    arrays. A point that `solve_x` cannot solve, or whose row holds a
+    non-finite number, fails with the error it raised when solved alone."""
     flat = np.fromiter(map(float, chain.from_iterable(chunk)), float)
     n, beta = flat.reshape(-1, 2).T
     sol = solve_x(beta, n)
@@ -309,15 +299,10 @@ def _screening_rows(chunk, *_):
         residual = np.abs(_screening_residual(n * sol.x, beta, n))
     values = np.stack([n, beta, sol.x, asym, residual])
     errors = dict(sol.faults)
-    for k in np.flatnonzero(~failed & ~np.isfinite(values).all(axis=0)):
-        bad = [name for name, v in zip(_SCREENING_FLOATS, values[:, k])
-               if not math.isfinite(v)]
-        errors[int(k)] = f"non-finite {', '.join(bad)}"
-    table = dict(zip(_SCREENING_FLOATS, values.tolist()))
-    table["status"] = ["ok"] * n.size
-    for k, text in errors.items():
-        _put(table, k, _error_row({"n_atoms": n[k], "beta": beta[k]}, text))
-    return table
+    for k in np.flatnonzero(~failed & ~np.isfinite(values).all(axis=0)).tolist():
+        errors[k] = _nonfinite(_SCREENING_FLOATS, values[:, k])
+    table.update(zip(_SCREENING_FLOATS, values.tolist()), status=["ok"] * n.size)
+    return errors
 
 
 # Clouds that one `cooperativity_column` call may take: its interval
@@ -326,41 +311,34 @@ def _screening_rows(chunk, *_):
 _MU_POINTS = 1 << 10
 
 
-def _mu_rows(chunk, *_):
-    """The table of a chunk of (ell_ax, ell_rad) points. Points are
+def _mu_rows(chunk, table):
+    """The rows (see `SweepMode`) of (ell_ax, ell_rad) points. Points are
     checked through CloudGeometry one by one and integrated by
     `cooperativity_column`, one call per _MU_POINTS valid points; a point
-    failing either, or whose row holds a non-finite number, is an error
-    row with the text it raised when integrated on its own."""
-    names = ("ell_ax", "ell_rad")
-    table = {name: [""] * len(chunk) for name in (*names, "mu", "small_angle_estimate",
-                                                   "residual", "status")}
-    valid = []
+    failing either, or whose row holds a non-finite number, fails with
+    the error it raised when integrated alone."""
+    errors, valid = {}, []
     for k, point in enumerate(chunk):
         try:
             valid.append((k, CloudGeometry(ell_ax=float(point[0]),
                                            ell_rad=float(point[1]))))
         except (TypeError, ValueError) as exc:
-            _put(table, k, _error_row(dict(zip(names, point)), exc))
-    for start in range(0, len(valid), _MU_POINTS):
-        index, geoms = zip(*valid[start:start + _MU_POINTS])
+            errors[k] = exc
+    for members in _slices(valid, lambda member: 1, _MU_POINTS):
+        index, geoms = zip(*members)
         mu, faults = cooperativity_column(geoms)
         ell_ax = [geom.ell_ax for geom in geoms]
         with np.errstate(over="ignore", divide="ignore"):
             small = 1.0 / (2.0 * math.pi * np.array(ell_ax))
         # The sizes are finite once checked, so only these two can fail.
         for j in np.flatnonzero(~(np.isfinite(mu) & np.isfinite(small))).tolist():
-            if j not in faults:
-                bad = [name for name, v in (("mu", mu[j]), ("small_angle_estimate", small[j]))
-                       if not math.isfinite(v)]
-                faults[j] = f"non-finite {', '.join(bad)}"
+            faults.setdefault(j, _nonfinite(("mu", "small_angle_estimate"), (mu[j], small[j])))
         _fill(table, index, {
             "ell_ax": ell_ax, "ell_rad": [geom.ell_rad for geom in geoms],
             "mu": mu.tolist(), "small_angle_estimate": small.tolist(),
             "residual": [0.0] * len(geoms), "status": ["ok"] * len(geoms)})
-        for j, error in faults.items():
-            _put(table, index[j], _error_row(dict(zip(names, chunk[index[j]])), error))
-    return table
+        errors.update((index[j], error) for j, error in faults.items())
+    return errors
 
 
 @dataclass(frozen=True)
@@ -369,11 +347,12 @@ class SweepMode:
 
     `rows(point, tol, settings)` returns the table (see `_concat`) of
     one point, given as a dict of grid values; an exception it raises
-    becomes the point's error row. A batched mode's `rows(chunk, tol,
-    settings)` takes a list of grid tuples instead and returns their
-    table, error rows included. Row builders reach the layers through
-    this module's globals at call time, so a wrapper installed on
-    `ddmsim.sweep.<name>` sees every call.
+    becomes the point's error row. A batched mode's `rows(chunk, table)`
+    takes a list of grid tuples instead, fills the rows it solves in the
+    blank table of the chunk and returns {index: error} of the points
+    that failed, which `_eval_chunk` writes as error rows. Row builders
+    reach the layers through this module's globals at call time, so a
+    wrapper installed on `ddmsim.sweep.<name>` sees every call.
     """
 
     command: str  # CLI subcommand
@@ -391,7 +370,6 @@ class SweepMode:
 
 
 _STEADY_COLUMNS = ("s_z", "n_e", "re_dipole", "im_dipole", "gamma_sr", "g2")
-_STEADY_TABLE = ("n_atoms", "rabi", "beta", *_STEADY_COLUMNS, "residual", "status")
 
 SWEEP_MODES = {
     "dynamics": SweepMode(
@@ -425,10 +403,16 @@ def _eval_chunk(task):
     """The table of a chunk of grid tuples, in grid order."""
     name, chunk, tol, settings = task
     mode = SWEEP_MODES[name]
-    if mode.batched:
-        return mode.rows(chunk, tol, settings)
-    return _concat([_eval_point((name, dict(zip(mode.grids, combo)), tol, settings))
-                    for combo in chunk], mode.table_columns)
+    if not mode.batched:
+        return _concat([_eval_point((name, dict(zip(mode.grids, combo)), tol, settings))
+                        for combo in chunk], mode.table_columns)
+    table = {column: [""] * len(chunk) for column in mode.table_columns}
+    errors = mode.rows(chunk, table)
+    for k in sorted(errors):  # an error row over row k, "" where it has no cell
+        row = _error_row(dict(zip(mode.grids, chunk[k])), errors[k])
+        for column, cells in table.items():
+            cells[k] = row[column][0] if column in row else ""
+    return table
 
 
 def run(spec: SweepSpec, threads: int = 1) -> SweepResult:
@@ -456,6 +440,8 @@ def run(spec: SweepSpec, threads: int = 1) -> SweepResult:
     tasks = [(spec.mode, points[k:k + size], spec.tol, spec.settings)
              for k in range(0, len(points), size)]
     if workers > 1:
+        # Not at import: a serial run need not load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_eval_chunk, tasks))
     else:
@@ -484,10 +470,10 @@ def run(spec: SweepSpec, threads: int = 1) -> SweepResult:
 
 
 def _text_cell(value) -> str:
-    """str(value), quoted as csv quotes it if it holds a comma, quote or
-    newline."""
+    """str(value), quoted as csv quotes it if it holds a comma, quote,
+    newline or carriage return."""
     text = str(value)
-    if "," in text or '"' in text or "\n" in text:
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -500,7 +486,7 @@ def _column_template(cells):
     kinds = set(map(type, cells))
     if kinds == {float}:
         return "%.12g", cells
-    if kinds == {str} and not any(c in "".join(cells) for c in ',"\n'):
+    if kinds == {str} and not any(c in "".join(cells) for c in ',"\n\r'):
         return "%s", cells
     return "%s", [format(v, ".12g") if isinstance(v, float) else _text_cell(v)
                   for v in cells]
@@ -510,10 +496,11 @@ def format_csv(result: SweepResult) -> str:
     """CSV text: '#'-prefixed JSON metadata line, header, data rows.
 
     A float cell is written as .12g and any other as str(); a cell that
-    holds a comma, quote or newline (error text in `status`) is quoted
-    as the csv module quotes it. The body is one %-template, the row
-    template repeated once per row, applied to every cell at once, read
-    column by column from the table.
+    holds a comma, quote, newline or carriage return (error text in
+    `status`) is quoted as the csv module quotes it, so that it reads
+    back as one row. The body is one %-template, the row template
+    repeated once per row, applied to every cell at once, read column by
+    column from the table.
     """
     formats, columns = zip(*(_column_template(result.table[name])
                              for name in result.columns))

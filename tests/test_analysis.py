@@ -127,10 +127,11 @@ def fake_least_squares(**fields):
     return least_squares
 
 
-class TestFitOmegaEff:
+class TestFitOmegaEffGuessAndFaults:
     def test_guess_without_oscillation_inverts_saturation(self):
-        # Overdamped (omega < gamma/4): no interior maximum, so the guess
-        # inverts n_inf = omega^2/(2 omega^2 + 1) of the last samples.
+        # Overdamped (omega < gamma/4): no interior maximum but rounding
+        # plateaus among the last samples, so the guess inverts
+        # n_inf = omega^2/(2 omega^2 + 1) of those samples.
         t = np.linspace(0.0, 60.0, 300)
         trace = TimeTrace(times=t, values=obe_excited_population(0.2, 1.0, t))
         assert np.all(np.diff(trace.values) >= 0)
@@ -151,6 +152,7 @@ class TestFitOmegaEff:
         fit = fit_omega_eff(TimeTrace(times=t, values=obe_excited_population(2.0, 1.0, t)))
         assert (fit.omega_eff, fit.decay) == (2.0, 1.0)
         assert fit.covariance.shape == (2, 2) and np.all(np.isinf(fit.covariance))
+
 
 class TestFitOmegaEff:
     @pytest.mark.parametrize("omega", [0.5, 1.0, 2.0, 5.0, 10.0])

@@ -383,7 +383,8 @@ class TestMuRows:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(SIZES, min_size=1, max_size=6), st.lists(SIZES, min_size=1, max_size=4))
     def test_rows_match_point_by_point(self, ell_ax, ell_rad):
-        rows = _rows(ddmsim.sweep._mu_rows(list(itertools.product(ell_ax, ell_rad))))
+        rows = _rows(_eval_chunk(("cooperativity", list(itertools.product(ell_ax, ell_rad)),
+                                  1e-8, {})))
         want = [reference_mu_row(ax, rad) for ax in ell_ax for rad in ell_rad]
         for got, ref in zip(rows, want, strict=True):
             assert got.keys() == ref.keys()
@@ -401,7 +402,7 @@ class TestMuRows:
                                     "grids": {"ell_ax": ell_ax, "ell_rad": ell_rad}})
         result = run(spec)
         whole = format_csv(result)
-        alone = [ddmsim.sweep._mu_rows([point])
+        alone = [_eval_chunk(("cooperativity", [point], 1e-8, {}))
                  for point in itertools.product(ell_ax, ell_rad)]
         table = _concat(alone, list(result.table))
         assert whole == format_csv(dataclasses.replace(result, table=table))

@@ -3,7 +3,8 @@
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ddmsim"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "ddmsim"
 
 # Imported but never read in its module: bench/spans.py traces
 # `ddmsim.sweep.liouvillian_rhs`, `.steady_state`, `.g2_zero` and
@@ -42,3 +43,28 @@ def test_guard_sees_an_unread_import(tmp_path):
     path.write_text("from __future__ import annotations\nimport os, math as m\n"
                     "from a.b import c, d\n__all__ = ['d']\nprint(os.sep)\n")
     assert unread_imports(path) == {"ddmsim.mod.m", "ddmsim.mod.c"}
+
+
+def rebound_names(path):
+    """The top-level class and function names a module binds more than
+    once: the later binding hides the earlier, whose tests never run."""
+    seen, twice = set(), set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            (twice if node.name in seen else seen).add(node.name)
+    return twice
+
+
+def test_no_test_module_rebinds_a_name():
+    rebound = {path.name: names for path in sorted(TESTS.glob("*.py"))
+               if (names := rebound_names(path))}
+    assert rebound == {}
+
+
+def test_guard_sees_a_rebound_name(tmp_path):
+    path = tmp_path / "test_mod.py"
+    path.write_text("class TestA:\n    pass\n\ndef helper():\n    pass\n\n"
+                    "class TestA:\n    pass\n\nasync def helper():\n    pass\n\n"
+                    "def other():\n    def inner():\n        pass\n    def inner():\n"
+                    "        pass\n")
+    assert rebound_names(path) == {"TestA", "helper"}

@@ -3,7 +3,8 @@
 Each scipy subpackage is imported inside the function that calls it, so
 importing the CLI and building its parser loads numpy and no scipy
 module, and `phase-diagram`, `steady`, `screening`, `mu`, `fit-alpha`
-and `dynamics` up to N = 47, which never call scipy, run without it. Every
+and `dynamics` up to N = 47, which never call scipy, run without it. A
+serial run loads no process pool (nor multiprocessing). Every
 check starts a fresh interpreter, because this test process has loaded
 scipy already.
 """
@@ -78,6 +79,21 @@ def test_subcommand_loads_no_scipy(tmp_path, argv):
     # A command pins BLAS once, with no scipy module; --help runs none.
     (tmp_path / "rates.csv").write_text("n_atoms,gamma_sr\n2,8\n3,18\n4,32\n5,50\n")
     assert run_probe(tmp_path, *argv) == (0, set(), 0 if argv == ["--help"] else 1)
+
+
+def test_serial_run_loads_no_process_pool(tmp_path):
+    # The pool and multiprocessing are imported only by a run that starts
+    # workers.
+    code = (
+        "import sys, ddmsim.cli\n"
+        "ddmsim.cli.build_parser()\n"
+        "assert ddmsim.cli.main(['phase-diagram', '--n-atoms', '4,8', '--beta', '0.5,2',"
+        " '--out', 't.csv']) == 0\n"
+        "loaded = {'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = run_python(tmp_path, code)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_scipy_subcommands_still_run(tmp_path):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 
 import numpy as np
@@ -409,7 +410,7 @@ class TestThreads:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(ddmsim.sweep, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         return started
 
     @pytest.mark.parametrize("threads, cpus, n_points, workers", [

@@ -48,12 +48,18 @@ def result_of(metadata, columns, rows):
 
 # --- CSV writer -----------------------------------------------------------
 
-def reference_format_csv(result):
-    """The per-cell writer: csv.writer over cells made one at a time."""
+def reference_line(cells):
+    """One CSV line: the cells as a csv.writer ending its rows in "\r\n"
+    writes them, so that a cell holding "\r" is quoted too, ended by "\n"."""
     buf = io.StringIO()
-    buf.write("# " + json.dumps(result.metadata, sort_keys=True) + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(result.columns)
+    csv.writer(buf, lineterminator="\r\n").writerow(cells)
+    return buf.getvalue()[:-2] + "\n"
+
+
+def reference_format_csv(result):
+    """The per-cell writer: csv lines of cells made one at a time."""
+    lines = ["# " + json.dumps(result.metadata, sort_keys=True) + "\n",
+             reference_line(result.columns)]
     for row in result.rows:
         cells = []
         for col in result.columns:
@@ -62,8 +68,8 @@ def reference_format_csv(result):
                 cells.append(f"{val:.12g}")
             else:
                 cells.append(str(val))
-        writer.writerow(cells)
-    return buf.getvalue()
+        lines.append(reference_line(cells))
+    return "".join(lines)
 
 
 TEXT = st.text(alphabet=st.sampled_from('ab ,"\n\r#:=-e0.'), max_size=12)
@@ -115,6 +121,15 @@ class TestFormatCsv:
                             {"n_atoms": 10**13, "beta": -0.0, "x": math.inf,
                              "status": "ok"}])
         assert format_csv(result) == reference_format_csv(result)
+
+    def test_carriage_return_reads_back_as_one_row(self, tmp_path):
+        # Unquoted, "ok\r0" would read back as the rows 0,ok and 0.
+        path = tmp_path / "t.csv"
+        path.write_text(format_csv(result_of({}, ["t", "status"], [
+            {"t": 0.0, "status": "ok\r0"}, {"t": 1.0, "status": "ok"}])), newline="")
+        with open(path, newline="") as fh:
+            assert list(csv.reader(fh))[2:] == [["0", "ok\r0"], ["1", "ok"]]
+        np.testing.assert_array_equal(_read_table(str(path), ("t",))["t"], [0.0, 1.0])
 
     @pytest.mark.parametrize("mode, grids", [
         ("screening_curve", {"n_atoms": [20.0, math.nan, 1e200, 3.5], "beta": [1e120, 0.5]}),
@@ -189,7 +204,7 @@ def csv_texts(draw):
     return end.join(lines) + end
 
 
-STATUS = st.text(alphabet=st.sampled_from('ab :,"\n-e0.'), max_size=12)
+STATUS = st.text(alphabet=st.sampled_from('ab :,"\n\r-e0.'), max_size=12)
 NUMBER_CELLS = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
                          st.integers(-10**15, 10**15))
 
@@ -666,7 +681,7 @@ class TestSteadyRows:
         whole = format_csv(result).splitlines()[2:]
         # A sweep of failing points alone raises, so each point is solved
         # alone by the mode's rows and written with the sweep's columns.
-        alone = [ddmsim.sweep._steady_rows([point], drive="beta")
+        alone = [ddmsim.sweep._eval_chunk(("phase_diagram", [point], 1e-8, {}))
                  for point in itertools.product(n_values, betas)]
         table = ddmsim.sweep._concat(alone, list(result.table))
         assert whole == format_csv(dataclasses.replace(result, table=table)).splitlines()[2:]
