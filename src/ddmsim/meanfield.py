@@ -18,10 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-BELOW_THRESHOLD = "below_threshold"
-ABOVE_THRESHOLD = "above_threshold"
-
-
 @dataclass
 class MeanFieldState:
     """Collective dipole and magnetization of the semi-classical spin.
@@ -43,14 +39,12 @@ class MeanFieldState:
 class ScreeningSolution:
     """Root of the self-consistent screening equation.
 
-    At one point beta and x are floats and branch a string; for arrays
-    of points they are arrays of one shape, and `faults` maps the flat
-    index of each point that has no root to the reason (`solve_x`).
+    At one point x is a float; for arrays of points it is an array of
+    their broadcast shape, and `faults` maps the flat index of each point
+    that has no root to the reason (`solve_x`).
     """
 
-    beta: float | np.ndarray
     x: float | np.ndarray
-    branch: str | np.ndarray
     faults: dict = field(default_factory=dict)
 
 
@@ -140,9 +134,8 @@ def solve_x(beta, n_atoms) -> ScreeningSolution:
         for k in np.flatnonzero(fault)
     }
     x[fault != 0] = np.nan
-    branch = np.where(beta < 1.0, BELOW_THRESHOLD, ABOVE_THRESHOLD)
     if not scalar:
-        return ScreeningSolution(beta=beta, x=x, branch=branch, faults=faults)
+        return ScreeningSolution(x=x, faults=faults)
     if faults:
         raise ValueError(faults[0])
-    return ScreeningSolution(beta=float(beta), x=float(x), branch=str(branch))
+    return ScreeningSolution(x=float(x))

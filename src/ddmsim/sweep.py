@@ -220,21 +220,18 @@ _STEADY_SLOTS = 1 << 15
 def _steady_rows(chunk, table, drive="rabi"):
     """The rows (see `SweepMode`) of (n_atoms, drive) points, drive being
     rabi or, in the phase diagram, beta (rabi = beta N/2). Points are
-    checked through ModelParams one by one, grouped into runs of equal N
-    and solved by `steady_columns`, one call per `_slices` slice; a point
-    failing either fails with the error it raised when solved alone."""
-    errors, runs = {}, {}
+    checked through ModelParams one by one and solved, in grid order, by
+    `steady_columns`, one call per `_slices` slice; a point failing
+    either fails with the error it raised when solved alone."""
+    errors, valid = {}, []
     for k, point in enumerate(chunk):
         try:
             n, value = int(point[0]), float(point[1])
             rabi = 0.5 * value * n if drive == "beta" else value
-            params = ModelParams(n_atoms=n, rabi=rabi)
+            valid.append((k, ModelParams(n_atoms=n, rabi=rabi)))
         except Exception as exc:
             errors[k] = exc
-            continue
-        runs.setdefault(params.n_atoms, []).append((k, params))
-    for members in _slices(chain.from_iterable(runs.values()),
-                           lambda member: member[1].n_atoms + 1, _STEADY_SLOTS):
+    for members in _slices(valid, lambda member: member[1].n_atoms + 1, _STEADY_SLOTS):
         index, group = zip(*members)
         try:
             columns, faults = steady_columns(group)

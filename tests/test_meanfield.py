@@ -7,8 +7,6 @@ from scipy.integrate import solve_ivp
 
 from ddmsim.ladder import DickeLadderState, evolve, observables
 from ddmsim.meanfield import (
-    ABOVE_THRESHOLD,
-    BELOW_THRESHOLD,
     MeanFieldState,
     _screening_residual,
     mf_steady,
@@ -186,7 +184,6 @@ class TestSolveX:
         sol = solve_x(2.0, 20)
         assert sol.x == pytest.approx(1.732530800077735, abs=1e-10)
         assert sol.x == pytest.approx(bisect_x(2.0, 20), abs=1e-10)
-        assert sol.branch == ABOVE_THRESHOLD
 
     def test_small_x_scaling(self):
         beta, n = 0.5, 1000.0
@@ -194,7 +191,6 @@ class TestSolveX:
         approx = np.sqrt(2) / n * beta / np.sqrt(1 - beta**2)
         assert sol.x == pytest.approx(approx, rel=1e-2)
         assert abs(_screening_residual(n * sol.x, beta, n)) < 1e-10
-        assert sol.branch == BELOW_THRESHOLD
 
     def test_large_n_limit(self):
         sol = solve_x(1.5, 1e6)
@@ -317,11 +313,6 @@ class TestSolveXClosedForm:
             xs = [solve_x(beta, n).x for beta in EXTREME_BETA]
             assert all(math.isfinite(x) for x in xs)
             assert np.all(np.diff(xs) > 0)
-
-    def test_branch_labels_at_switch(self):
-        assert solve_x(1.0 - 1e-9, 100).branch == BELOW_THRESHOLD
-        assert solve_x(1.0, 100).branch == ABOVE_THRESHOLD
-        assert solve_x(1.0 + 1e-9, 100).branch == ABOVE_THRESHOLD
 
     def test_limits(self):
         # beta -> 0: x -> sqrt(2) beta / N; beta >> 1: x -> sqrt(beta^2 - 1).

@@ -649,8 +649,8 @@ class TestSteadyRows:
         grids = {"n_atoms": [3, 10, 3, 140, 0], "beta": [0.5, 2.0, -1.0]}
         rows = run(SweepSpec.from_dict({"mode": "phase_diagram", "grids": grids})).rows
         assert sum(r["status"] == "ok" for r in rows) == 8
-        # One flat pass, each N's points one run, in order of appearance.
-        assert slices == [[3] * 4 + [10] * 2 + [140] * 2]
+        # One flat pass, in grid order: the second N = 3 starts a new run.
+        assert slices == [[3, 3, 10, 10, 3, 3, 140, 140]]
 
     @pytest.mark.parametrize("n_values, betas", [
         (range(1, 401), [0.1, 0.5, 1.0, 2.0, 10.0]),
