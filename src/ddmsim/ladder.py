@@ -580,7 +580,8 @@ def _resonant_steady_rho(params: ModelParams) -> np.ndarray:
     return gauged
 
 
-# A steady residual, or an O(N) row's |sum p - 1|, above this fails.
+# A steady residual, or an O(N) row's |sum p - 1|, above this fails (an
+# O(N) row's band residual has a bound relative to its terms beyond it).
 _RESID_TOL = 1e-10
 
 
@@ -678,7 +679,10 @@ def steady_columns(group: Sequence[ModelParams]):
     starts a new run. columns maps s_z, n_e, re_dipole, im_dipole,
     gamma_sr, g2 (nan where undefined) and residual (`_band_residual`) to
     arrays over the group; faults maps the index of each state whose
-    residual or |sum p - 1| exceeds _RESID_TOL to why.
+    |sum p - 1| exceeds _RESID_TOL, or whose residual exceeds the larger
+    of _RESID_TOL and 128 eps S(S+1) max p, to why. The band's terms are
+    as large as S(S+1) max p, so their round-off alone passes _RESID_TOL
+    from about N = 10^5; a nan point keeps the bound _RESID_TOL.
     """
     chunk = _chunk(group)
     pops, steps = _closed_form(chunk)
@@ -695,11 +699,14 @@ def steady_columns(group: Sequence[ModelParams]):
           for rate, num in zip(spsm.tolist(), g2_num.tolist())]
     residual = _band_residual(chunk, pops, steps)
     drift = np.abs(_point_sums(pops, chunk) - 1.0)
-    tol = _RESID_TOL
+    spin = (chunk.sizes - 1) / 2.0
+    bound = np.fmax(_RESID_TOL, 128 * np.finfo(float).eps * spin * (spin + 1.0)
+                    * np.maximum.reduceat(pops, chunk.first))
     faults = {k: f"steady-state residual {res:.3e} exceeds {tol:.1e}" if not res <= tol
               else f"steady-state trace is off by {off:.3e}"
-              for k, (res, off) in enumerate(zip(residual.tolist(), drift.tolist()))
-              if not (res <= tol and off <= tol)}
+              for k, (res, tol, off) in enumerate(zip(residual.tolist(), bound.tolist(),
+                                                      drift.tolist()))
+              if not (res <= tol and off <= _RESID_TOL)}
     return {"s_z": s_z, "n_e": 0.5 * (s_z + 1.0), "re_dipole": dipole.real,
             "im_dipole": dipole.imag, "gamma_sr": spsm, "g2": np.array(g2),
             "residual": residual}, faults

@@ -607,6 +607,17 @@ class TestSteadyRows:
         assert [r["status"] for r in rows] == (
             ["error: steady-state residual nan exceeds 1.0e-10"] * 2 + ["ok"]) * (len(rows) // 3)
 
+    def test_rows_at_n_1e5_are_valid(self):
+        # The band's terms grow as S(S+1) max p, and at N = 10^5 their
+        # round-off alone passed 1e-10 at beta 0.1, 0.5 and 1.
+        grids = {"n_atoms": [100_000], "beta": [0.1, 0.5, 1.0, 2.0, 5.0]}
+        rows = run(SweepSpec.from_dict({"mode": "phase_diagram", "grids": grids})).rows
+        assert [r["status"] for r in rows] == ["ok"] * 5
+        for r in rows:
+            assert 0.0 <= r["n_e"] <= 1.0
+            # The steady balance of <S_z>: rabi Im<S-> = -<S+S->.
+            assert r["im_dipole"] == pytest.approx(-r["gamma_sr"] / r["rabi"], rel=1e-12)
+
     def test_dark_ground_state_row(self):
         (row,) = run(SweepSpec.from_dict({"mode": "steady_state",
                                           "grids": {"n_atoms": [7], "rabi": [0.0]}})).rows
