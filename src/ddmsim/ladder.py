@@ -399,13 +399,16 @@ def _propagate_dense(op, u0, t_final, n_samples):
     op *= dt / 2.0**squarings
     p = _taylor_polynomial(op)
     tmp = np.empty_like(p)
-    for _ in range(squarings):
-        np.matmul(p, p, out=tmp)
-        p, tmp = tmp, p
     u = np.empty((n_samples, u0.size), dtype=np.result_type(p, u0))
     u[0] = u0
-    for k in range(1, n_samples):
-        np.matmul(p, u[k - 1], out=u[k])
+    # A drive too strong for the float range overflows here, silently:
+    # `evolve` reports the non-finite trace it leaves.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(squarings):
+            np.matmul(p, p, out=tmp)
+            p, tmp = tmp, p
+        for k in range(1, n_samples):
+            np.matmul(p, u[k - 1], out=u[k])
     return u
 
 
@@ -580,8 +583,7 @@ def _resonant_steady_rho(params: ModelParams) -> np.ndarray:
     return gauged
 
 
-# A steady residual, or an O(N) row's |sum p - 1|, above this fails (an
-# O(N) row's band residual has a bound relative to its terms beyond it).
+# A steady residual, or an O(N) row's |sum p - 1|, above this fails.
 _RESID_TOL = 1e-10
 
 
@@ -719,23 +721,23 @@ def _band_residual(chunk: _Chunk, pops: np.ndarray, steps: np.ndarray) -> np.nda
     reads diagonals 0-2 of R. Slot l holds the terms of entries (l, l)
     and (l, l+1). A neighbour past a point's end is an exact 0, and so is
     every term that its last slot passes on to the next point's first, so
-    a point adds only zeros beyond the terms of a batch of its N alone."""
+    a point adds only zeros beyond the terms of a batch of its N alone.
+    Overflow and nan are silent, as in `_closed_form`: a subnormal or
+    near-maximal drive ends as a non-finite residual, its point's fault."""
     drive, drain = _rates(chunk, chunk)
     p_next = _next(pops, chunk)
-    d1 = p_next * steps  # R[l, l+1]
-    d1_next = _next(d1, chunk)
-    # 0 * inf in a last-but-one slot is nan silently: 1/r is inf there,
-    # and that point's p is nan already.
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        d1 = p_next * steps  # R[l, l+1]
+        d1_next = _next(d1, chunk)
         d2 = d1_next * steps  # R[l, l+2]
-    diag = 2.0 * drain * pops
-    diag += chunk.a ** 2 * p_next
-    flow = 2.0 * drive * d1
-    diag -= flow
-    diag[1:] += flow[:-1]
-    off = (drain + _next(drain, chunk)) * d1
-    off += (chunk.a * _next(chunk.a, chunk)) * d1_next
-    off += drive * (pops - p_next)
-    off -= _next(drive, chunk) * d2
-    off[1:] += (drive * d2)[:-1]
+        diag = 2.0 * drain * pops
+        diag += chunk.a ** 2 * p_next
+        flow = 2.0 * drive * d1
+        diag -= flow
+        diag[1:] += flow[:-1]
+        off = (drain + _next(drain, chunk)) * d1
+        off += (chunk.a * _next(chunk.a, chunk)) * d1_next
+        off += drive * (pops - p_next)
+        off -= _next(drive, chunk) * d2
+        off[1:] += (drive * d2)[:-1]
     return np.maximum.reduceat(np.maximum(np.abs(diag), np.abs(off)), chunk.first)

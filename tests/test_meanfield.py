@@ -139,6 +139,16 @@ class TestMfSteady:
             state = mf_steady(beta, 8.0)
             assert spin_length_sq(state) <= 16.0 + 1e-9
 
+    @pytest.mark.parametrize("beta", [0.0, -0.5])
+    def test_rejects_nonpositive_beta(self, beta):
+        with pytest.raises(ValueError, match="beta must be > 0"):
+            mf_steady(beta, 8.0)
+
+    @pytest.mark.parametrize("n_atoms", [0.0, -3.0])
+    def test_state_rejects_nonpositive_n(self, n_atoms):
+        with pytest.raises(ValueError, match="n_atoms must be > 0"):
+            MeanFieldState(dipole=0.0, sz=0.0, n_atoms=n_atoms)
+
 
 class TestOmegaEff:
     # The effective drive inside the cloud is omega - i*gamma*<S->.

@@ -31,6 +31,27 @@ class TestFullRhs:
         with pytest.raises(ValueError):
             FullState.ground(5)
 
+    def test_rejects_a_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"shape \(2, 2\) incompatible with N = 2"):
+            FullState(2, np.eye(2))
+
+    def test_rejects_params_of_another_n(self):
+        with pytest.raises(ValueError, match="state has N = 2 but params have N = 3"):
+            full_lindblad_rhs(FullState.ground(2), ModelParams(n_atoms=3, rabi=1.0))
+
+    def test_check_accepts_a_density_matrix(self):
+        FullState(1, random_qubit_rho(2)).check()
+        n2_singlet().check()
+
+    @pytest.mark.parametrize("rho, reason", [
+        (np.diag([1.0, 1.0]), "trace deviates from 1"),
+        (np.array([[0.5, 0.5], [0.0, 0.5]]), "not Hermitian"),
+        (np.diag([1.5, -0.5]), "not positive semidefinite"),
+    ])
+    def test_check_rejects(self, rho, reason):
+        with pytest.raises(ValueError, match=reason):
+            FullState(1, rho).check()
+
     def test_single_atom_matches_ladder(self):
         rho = random_qubit_rho(0)
         params = ModelParams(n_atoms=1, rabi=2.3)

@@ -121,3 +121,17 @@ def test_bench_held_solve_ivp_resolves_on_first_access(tmp_path):
     )
     proc = run_python(tmp_path, code)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    (["--version"], 0, "0.1.0\n"),
+    (["steady", "--n-atoms", "-4", "--rabi", "2"], 2, ""),  # all points fail
+])
+def test_module_entry_point_exits_with_main(tmp_path, argv, code, out):
+    # `python -m ddmsim.cli` runs main() and exits with its code.
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ddmsim.cli", *argv], cwd=tmp_path,
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert (proc.returncode, proc.stdout) == (code, out), proc.stderr

@@ -618,6 +618,38 @@ class TestSteadyRows:
             # The steady balance of <S_z>: rabi Im<S-> = -<S+S->.
             assert r["im_dipole"] == pytest.approx(-r["gamma_sr"] / r["rabi"], rel=1e-12)
 
+    @pytest.mark.parametrize("argv, status", [
+        # At N = 3, rabi = 1.5e308 is finite and reaches the band residual,
+        # whose terms overflow; at N = 10 and 140 the rabi is inf.
+        (["phase-diagram", "--n-atoms", "3,10,140", "--beta", "1e308,1"],
+         ["error: steady-state residual nan exceeds 1.0e-10"]
+         + ["error: rabi must be finite, got inf"] * 2),
+        (["dynamics", "--n-atoms", "3,4", "--rabi", "1e200,1", "--n-samples", "11"],
+         ["error: trace drift nan exceeds tol = 1.0e-08"] * 2),
+    ])
+    def test_an_overflowing_drive_is_only_its_error_row(self, tmp_path, capsys,
+                                                        monkeypatch, argv, status):
+        # Warnings are errors here: one escaping the solver would fail
+        # every point solved with the extreme one.
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+
+        def rows(n_atoms, drive):
+            out = tmp_path / "t.csv"
+            assert main(argv[:2] + [n_atoms, argv[3], drive] + argv[5:]
+                        + ["--out", str(out)]) == 0
+            with open(out, newline="") as fh:
+                return list(csv.reader(ln for ln in fh if not ln.startswith("#")))[1:]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            whole = rows(argv[2], argv[4])
+        assert capsys.readouterr().err == ""
+        extreme = [row for row in whole if row[1] != "1"]
+        assert [row[-1] for row in extreme] == status
+        assert all(row[-2] == "nan" for row in extreme)
+        alone = [row for n in argv[2].split(",") for row in rows(n, "1")]
+        assert [row for row in whole if row[1] == "1"] == alone
+
     def test_dark_ground_state_row(self):
         (row,) = run(SweepSpec.from_dict({"mode": "steady_state",
                                           "grids": {"n_atoms": [7], "rabi": [0.0]}})).rows
