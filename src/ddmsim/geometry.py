@@ -49,6 +49,8 @@ _KRONROD_ORDER = np.concatenate([_GAUSS, _GAUSS - 1])
 _EPS = sys.float_info.epsilon
 # Intervals a point may be cut into (QUADPACK's `limit`).
 _LIMIT = 200
+# Relative error estimate that ends a cloud's bisection.
+_REL_TOL = 1e-10
 # Largest relative error estimate of a value that is returned.
 _MAX_REL_ERR = 1e-8
 
@@ -131,14 +133,14 @@ def _qk21(a, b, rad_sq, ax_sq):
     return resk * hlgth, err
 
 
-def _integrate(ell_ax, ell_rad, rel_tol):
+def _integrate(ell_ax, ell_rad):
     """(integral, error estimate) over u in [0, 2] of each cloud's
     integrand, by QUADPACK's adaptive bisection, arrays over the clouds.
 
     Each cloud starts from the panels that its breakpoints cut (see
-    `coherent_power`). Each round bisects the interval of largest error
-    of every cloud not yet done; a cloud is done when its error sum is
-    at most rel_tol times its integral, or at _LIMIT intervals. The
+    `cooperativity_column`). Each round bisects the interval of largest
+    error of every cloud not yet done; a cloud is done when its error sum
+    is at most _REL_TOL times its integral, or at _LIMIT intervals. The
     running sums follow dqage, and the integral is the sum of a cloud's
     intervals in the order they were made, so no value depends on the
     other clouds in the call.
@@ -162,7 +164,7 @@ def _integrate(ell_ax, ell_rad, rel_tol):
     area[:3], err[:3] = (a.reshape(3, n) for a in _qk21(
         lo[:3].ravel(), hi[:3].ravel(), np.tile(rad_sq, 3), np.tile(ax_sq, 3)))
     total, errsum = _sum_rows(area[:3]), _sum_rows(err[:3])
-    live = np.flatnonzero(errsum > rel_tol * np.abs(total))
+    live = np.flatnonzero(errsum > _REL_TOL * np.abs(total))
     while live.size:
         k = err[:count[live].max(), live].argmax(axis=0)
         a, b = lo[k, live], hi[k, live]
@@ -177,60 +179,39 @@ def _integrate(ell_ax, ell_rad, rel_tol):
         lo[new, live], hi[new, live] = mid, b
         area[new, live], err[new, live] = halves[m:], errors[m:]
         count[live] += 1
-        live = live[(errsum[live] > rel_tol * np.abs(total[live]))
+        live = live[(errsum[live] > _REL_TOL * np.abs(total[live]))
                     & (count[live] < _LIMIT)]
     return _sum_rows(area[:count.max()]), errsum
 
 
-def _coherent_powers(geoms, rel_tol):
-    """(power, faults): `coherent_power` of each cloud as one array, and
-    the QuadratureError of each index whose estimate stayed above
-    _MAX_REL_ERR."""
+def cooperativity_column(geoms) -> tuple:
+    """(mu, faults) of clouds: `cooperativity_mu` of each as one array,
+    computed in one array pass, and the QuadratureError of each index
+    whose error estimate stayed above _MAX_REL_ERR of its value (its mu
+    is then not a result).
+
+    mu is the power radiated coherently into the diffraction mode (axial
+    drive), pi * int_0^pi dtheta sin(theta) (1 + sin^2(theta)/2)
+    * exp[-(k ell_rad sin(theta))^2] * exp[-(k ell_ax)^2 (cos(theta)-1)^2],
+    over SINGLE_DIPOLE_POWER and capped at 1. It is integrated in
+    u = 1 - cos(theta), both Gaussian envelopes in one exponential. The
+    axial envelope confines the integrand to a forward lobe of width
+    ~1/(k ell_ax); a wide cloud confines it further to widths
+    ~1/(k ell_rad)^2 at both endpoints (forward and backward cones). The
+    adaptive quadrature (QUADPACK's 21-point Gauss-Kronrod rule, bisected
+    to _REL_TOL) starts from panels cut at those edges.
+    """
     ell_ax = np.array([g.ell_ax for g in geoms], dtype=float)
     ell_rad = np.array([g.ell_rad for g in geoms], dtype=float)
     with np.errstate(divide="ignore", over="ignore"):
-        val, err = _integrate(ell_ax, ell_rad, rel_tol)
+        val, err = _integrate(ell_ax, ell_rad)
     faults = {}
     for k in np.flatnonzero(err > _MAX_REL_ERR * np.abs(val)).tolist():
         achieved = float(err[k] / abs(val[k]))
         faults[k] = QuadratureError(
             f"coherent-power quadrature reached relative error {achieved:.3e}",
             achieved_tol=achieved)
-    return math.pi * val, faults
-
-
-def _one(column):
-    """The value of a one-cloud (values, faults) pair; its fault raised."""
-    (value,), faults = column
-    if faults:
-        raise faults[0]
-    return float(value)
-
-
-def coherent_power(geom: CloudGeometry, rel_tol: float = 1e-10) -> float:
-    """Power radiated coherently into the diffraction mode (axial drive).
-
-    pi * int_0^pi dtheta sin(theta) (1 + sin^2(theta)/2)
-       * exp[-(k ell_rad sin(theta))^2] * exp[-(k ell_ax)^2 (cos(theta)-1)^2].
-
-    Integrated in u = 1 - cos(theta), with both Gaussian envelopes in
-    one exponential. The axial envelope confines the integrand to a
-    forward lobe of width ~1/(k ell_ax); a wide cloud confines it
-    further to widths ~1/(k ell_rad)^2 at both endpoints (forward and
-    backward cones). The adaptive quadrature (QUADPACK's 21-point
-    Gauss-Kronrod rule, bisected to rel_tol) starts from panels cut at
-    those edges. A QuadratureError is raised if its error estimate stays
-    above 1e-8 of the value.
-    """
-    return _one(_coherent_powers([geom], rel_tol))
-
-
-def cooperativity_column(geoms) -> tuple:
-    """(mu, faults) of clouds: `cooperativity_mu` of each as one array,
-    computed in one array pass, and the QuadratureError of each index
-    whose quadrature failed (its mu is then not a result)."""
-    power, faults = _coherent_powers(geoms, 1e-10)
-    return np.minimum(power / SINGLE_DIPOLE_POWER, 1.0), faults
+    return np.minimum(math.pi * val / SINGLE_DIPOLE_POWER, 1.0), faults
 
 
 def cooperativity_mu(geom: CloudGeometry) -> float:
@@ -240,4 +221,7 @@ def cooperativity_mu(geom: CloudGeometry) -> float:
     Approaches 1 in the point-cloud limit and scales like
     lambda/(2*pi*ell_ax) for a long pencil.
     """
-    return _one(cooperativity_column([geom]))
+    (mu,), faults = cooperativity_column([geom])
+    if faults:
+        raise faults[0]
+    return float(mu)

@@ -402,11 +402,14 @@ def _propagate_dense(op, u0, t_final, n_samples):
     u = np.empty((n_samples, u0.size), dtype=np.result_type(p, u0))
     u[0] = u0
     # A drive too strong for the float range overflows here, silently:
-    # `evolve` reports the non-finite trace it leaves.
+    # `evolve` reports the non-finite trace it leaves. A non-finite
+    # diagonal stays so under squaring, so the squarings stop there.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(squarings):
             np.matmul(p, p, out=tmp)
             p, tmp = tmp, p
+            if not np.isfinite(np.trace(p)):
+                break
         for k in range(1, n_samples):
             np.matmul(p, u[k - 1], out=u[k])
     return u
@@ -658,14 +661,12 @@ _G2_MIN_RATE = 1e-14  # <S+S-> below which g2(0) is undefined
 
 def g2_zero(state: DickeLadderState) -> float:
     """Equal-time intensity correlation <S+S+S-S-> / <S+S->^2."""
-    # <S+S-> and <S+S+S-S->
-    spsm, g2_num = _weighted_sums(_ladder(state.n_atoms).weights[1:],
-                                  state.rho.diagonal().real).tolist()
-    if spsm < _G2_MIN_RATE:
+    obs = observables(state)
+    if obs.gamma_sr < _G2_MIN_RATE:
         raise UndefinedCorrelationError(
-            f"<S+S-> = {spsm:.3e} too small to define g2(0)"
+            f"<S+S-> = {obs.gamma_sr:.3e} too small to define g2(0)"
         )
-    return g2_num / spsm**2
+    return obs.g2_numerator / (obs.gamma_sr * obs.gamma_sr)
 
 
 def steady_columns(group: Sequence[ModelParams]):
@@ -682,9 +683,11 @@ def steady_columns(group: Sequence[ModelParams]):
     gamma_sr, g2 (nan where undefined) and residual (`_band_residual`) to
     arrays over the group; faults maps the index of each state whose
     |sum p - 1| exceeds _RESID_TOL, or whose residual exceeds the larger
-    of _RESID_TOL and 128 eps S(S+1) max p, to why. The band's terms are
-    as large as S(S+1) max p, so their round-off alone passes _RESID_TOL
-    from about N = 10^5; a nan point keeps the bound _RESID_TOL.
+    of _RESID_TOL and 128 eps max(S(S+1), rabi S) max p, to why. The
+    band's terms are as large as S(S+1) max p and rabi S max p, so their
+    round-off alone passes _RESID_TOL from about N = 10^5, or sooner at
+    strong drive; a point whose residual is not finite keeps the bound
+    _RESID_TOL.
     """
     chunk = _chunk(group)
     pops, steps = _closed_form(chunk)
@@ -695,22 +698,22 @@ def steady_columns(group: Sequence[ModelParams]):
     terms = np.zeros(pops.size, complex)
     np.subtract(0.0, chunk.a * (_next(pops, chunk) * steps), out=terms.imag)
     dipole = _point_sums(terms, chunk, end=-1)
-    # In Python floats, as `g2_zero` takes it: x**2 is then libm's pow,
-    # which can round differently from numpy's x*x.
-    g2 = [num / rate**2 if rate >= _G2_MIN_RATE else math.nan
-          for rate, num in zip(spsm.tolist(), g2_num.tolist())]
+    g2 = np.divide(g2_num, spsm * spsm, out=np.full_like(spsm, np.nan),
+                   where=spsm >= _G2_MIN_RATE)
     residual = _band_residual(chunk, pops, steps)
     drift = np.abs(_point_sums(pops, chunk) - 1.0)
     spin = (chunk.sizes - 1) / 2.0
-    bound = np.fmax(_RESID_TOL, 128 * np.finfo(float).eps * spin * (spin + 1.0)
+    bound = np.fmax(_RESID_TOL, 128 * np.finfo(float).eps * spin
+                    * np.maximum(spin + 1.0, chunk.rabi[chunk.first])
                     * np.maximum.reduceat(pops, chunk.first))
+    bound[~np.isfinite(residual)] = _RESID_TOL
     faults = {k: f"steady-state residual {res:.3e} exceeds {tol:.1e}" if not res <= tol
               else f"steady-state trace is off by {off:.3e}"
               for k, (res, tol, off) in enumerate(zip(residual.tolist(), bound.tolist(),
                                                       drift.tolist()))
               if not (res <= tol and off <= _RESID_TOL)}
     return {"s_z": s_z, "n_e": 0.5 * (s_z + 1.0), "re_dipole": dipole.real,
-            "im_dipole": dipole.imag, "gamma_sr": spsm, "g2": np.array(g2),
+            "im_dipole": dipole.imag, "gamma_sr": spsm, "g2": g2,
             "residual": residual}, faults
 
 

@@ -67,26 +67,11 @@ def mf_steady(beta: float, n_atoms: float) -> MeanFieldState:
     return MeanFieldState(dipole=-1j * n_atoms / (2.0 * beta), sz=0.0, n_atoms=n_atoms)
 
 
-def _elementwise(fn, *args):
-    """fn of the math module applied element by element.
-
-    numpy's hypot and power round differently from math.hypot and from
-    Python's float ** (the C library's pow) in the last bit, on about
-    0.5% and 0.1% of random inputs; through this, an array of points
-    gets the bits that each point gets on its own.
-    """
-    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
-    flat = [np.broadcast_to(a, shape).ravel().tolist() for a in args]
-    out = np.fromiter(map(fn, *flat), float, math.prod(shape))
-    return out.reshape(shape)[()]  # a numpy float for 0-d input
-
-
 def _screening_residual(u, beta, n_atoms):
-    # u = N*x; residual of beta^2 = x^2 + (u^2/2)/(1 + u^2/2). Floats or
-    # arrays; (u/N)^2 is taken as Python's float ** takes it.
+    # u = N*x; residual of beta^2 = x^2 + (u^2/2)/(1 + u^2/2), any shape.
     half_u2 = 0.5 * u * u
-    x_sq = _elementwise(math.pow, u / n_atoms, 2.0)
-    return x_sq + half_u2 / (1.0 + half_u2) - beta * beta
+    x = u / n_atoms
+    return x * x + half_u2 / (1.0 + half_u2) - beta * beta
 
 
 # The faults of a screening point, in the order they are checked.
@@ -121,7 +106,7 @@ def solve_x(beta, n_atoms) -> ScreeningSolution:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         inv_n = 1.0 / n
         b = inv_n * inv_n + 0.5 * (1.0 - beta) * (1.0 + beta)
-        root = _elementwise(math.hypot, b, math.sqrt(2.0) * beta * inv_n)
+        root = np.hypot(b, math.sqrt(2.0) * beta * inv_n)
         x = np.where(b >= 0.0, np.sqrt(2.0 * beta * beta / (b + root)) * inv_n,
                      np.sqrt(root - b))
         fault = np.select(

@@ -35,7 +35,7 @@ from ddmsim.ladder import (
     steady_columns,
     steady_state,
 )
-from ddmsim.meanfield import _elementwise, _screening_residual, solve_x
+from ddmsim.meanfield import _screening_residual, solve_x
 from ddmsim.geometry import CloudGeometry, cooperativity_column, cooperativity_mu
 
 SCHEMA_VERSION = 1
@@ -289,10 +289,7 @@ def _screening_rows(chunk, table):
     failed = np.zeros(n.size, dtype=bool)
     failed[list(sol.faults)] = True
     with np.errstate(invalid="ignore", over="ignore"):
-        # math.pow raises where beta^2 overflows, which only a failed
-        # point reaches.
-        b = np.where(failed, np.nan, beta)
-        asym = np.where(b >= 1.0, np.sqrt(_elementwise(math.pow, b, 2.0) - 1.0), 0.0)
+        asym = np.where(beta >= 1.0, np.sqrt(beta * beta - 1.0), 0.0)
         residual = np.abs(_screening_residual(n * sol.x, beta, n))
     values = np.stack([n, beta, sol.x, asym, residual])
     errors = dict(sol.faults)

@@ -17,7 +17,6 @@ from ddmsim.geometry import (
     CloudGeometry,
     QuadratureError,
     _forward_lobe_integrand,
-    coherent_power,
     cooperativity_column,
     cooperativity_mu,
 )
@@ -103,14 +102,10 @@ class TestStructureFactor:
 
 class TestCoherentPower:
     def test_point_cloud_limit(self):
-        geom = CloudGeometry(ell_ax=1e-6, ell_rad=1e-6)
-        assert coherent_power(geom) == pytest.approx(SINGLE_DIPOLE_POWER, rel=1e-3)
-
-    def test_quadrature_convergence(self):
-        geom = CloudGeometry(ell_ax=22.5, ell_rad=0.5)
-        coarse = coherent_power(geom, rel_tol=1e-8)
-        fine = coherent_power(geom, rel_tol=1e-12)
-        assert abs(coarse - fine) / fine < 1e-8
+        # Below 1, so the power itself is SINGLE_DIPOLE_POWER, not the cap.
+        mu = cooperativity_mu(CloudGeometry(ell_ax=1e-6, ell_rad=1e-6))
+        assert mu < 1.0
+        assert mu == pytest.approx(1.0, rel=1e-3)
 
     def test_pencil_cloud_mu(self):
         geom = CloudGeometry(ell_ax=22.5, ell_rad=0.5)
@@ -147,8 +142,9 @@ class TestCooperativityMu:
 
 
 def two_exp_coherent_power(ell_ax, ell_rad, rel_tol):
-    """coherent_power with one np.exp per Gaussian envelope, as a reference
-    for the single-exponential integrand."""
+    """The coherent power of `cooperativity_column` with one np.exp per
+    Gaussian envelope, as a reference for the single-exponential
+    integrand."""
     k = TWO_PI
 
     def integrand(u):
@@ -195,10 +191,10 @@ class TestSingleExponentIntegrand:
 
 class TestHighPrecisionReference:
     # mu from 40-digit mpmath 1.3 (mp.quad of the u-integrand of
-    # `coherent_power` over [0, 2], split at 1 and at 2^-j from both
+    # `cooperativity_column` over [0, 2], split at 1 and at 2^-j from both
     # ends, j = 0..59), rounded to 20 digits; it shares no breakpoint or
     # integrand code with ddmsim. The points are ones where the radial
-    # breakpoint of `coherent_power` leaves the forward lobe whole; at
+    # breakpoint of `cooperativity_column` leaves the forward lobe whole; at
     # ell_rad = 20 it cuts the lobe's tail (ROADMAP item 2), which the
     # strict xfail below pins until the closed form replaces the rule.
     @pytest.mark.parametrize(
@@ -268,7 +264,7 @@ class TestExtremeSizes:
 
 
 def quad_coherent_power(ell_ax, ell_rad, rel_tol=1e-10):
-    """coherent_power as scipy's quad (QUADPACK's qagp) integrated it: the
+    """The coherent power as scipy's quad (QUADPACK's qagp) integrated it: the
     single-exponential integrand in math-module arithmetic, the same
     breakpoints and the 200-interval limit."""
     rad_sq, ax_sq = (TWO_PI * ell_rad) ** 2, (TWO_PI * ell_ax) ** 2
@@ -342,7 +338,7 @@ class TestBatchedRule:
         monkeypatch.setattr(ddmsim.geometry, "_forward_lobe_integrand", rough)
         geom = CloudGeometry(ell_ax=22.5, ell_rad=0.5)  # three panels
         with pytest.raises(QuadratureError) as info:
-            coherent_power(geom)
+            cooperativity_mu(geom)
         assert info.value.achieved_tol > 1e-8
         assert str(info.value) == ("coherent-power quadrature reached relative "
                                    f"error {info.value.achieved_tol:.3e}")

@@ -462,6 +462,28 @@ class TestPropagator:
         _, states = evolve(state0, params, 3.0, n_samples=31)
         assert max_observable_gap(states, rk45_reference(state0, params, 3.0, 31)) <= 1e-8
 
+    def test_an_overflowed_propagator_is_squared_no_further(self, monkeypatch):
+        # At rabi = 1e200 the step propagator takes over 600 squarings and
+        # is inf/nan from about the 64th on. A non-finite diagonal stays
+        # so, so the squarings stop there, and the trace check of `evolve`
+        # fails the point with the text it had.
+        calls = []
+        matmul = np.matmul
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counted)
+        params = ModelParams(n_atoms=24, rabi=1e200)
+        with pytest.raises(RuntimeError) as info:
+            evolve(DickeLadderState.ground(24), params, 10.0, n_samples=11)
+        assert str(info.value) == "trace drift nan exceeds tol = 1.0e-08"
+        norm = abs(_sector_operator(params)).sum(axis=0).max()
+        assert np.log2(norm / 0.5) > 600
+        # Six in the polynomial (`x @ x` is not np.matmul), ten steps.
+        assert 0 < len(calls) - 6 - 10 < 100
+
     @pytest.mark.parametrize("n", [1, 2, 7, 24])
     @pytest.mark.parametrize("gamma", [1.0, 2.5])
     def test_gauged_resonant_liouvillian_is_real(self, n, gamma):
@@ -1075,7 +1097,7 @@ class TestSteadyPointBitForBit:
                 s_z.real, n_e.real, spsm.real, g2_num.real)
             assert obs.dipole == dipole
             if spsm.real >= 1e-14:
-                assert g2_zero(state) == g2_num.real / spsm.real**2
+                assert g2_zero(state) == g2_num.real / (spsm.real * spsm.real)
 
     def test_weak_drive_at_large_n_takes_the_rescale(self):
         # N = 2000 at beta = 0.01 is in PINNED_N; this keeps it honest.

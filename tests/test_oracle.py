@@ -1,9 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import ddmsim.oracle
 from ddmsim.ladder import DickeLadderState, evolve, liouvillian_rhs, observables
 from ddmsim.oracle import (
     FullState,
+    NonConvergenceError,
     full_evolve,
     full_lindblad_rhs,
     project_to_ladder,
@@ -94,6 +98,20 @@ class TestFullRhs:
     def test_singlet_is_dark(self):
         rhs = full_lindblad_rhs(n2_singlet(), ModelParams(n_atoms=2, rabi=0.0))
         assert np.max(np.abs(rhs)) < 1e-13
+
+
+class TestFullEvolve:
+    def test_failed_integration_raises_with_its_last_time(self, monkeypatch):
+        def failing(fun, t_span, y0, **kwargs):
+            return SimpleNamespace(success=False, t=np.array([0.0, 0.25]),
+                                   message="Required step size is too small.")
+
+        monkeypatch.setattr(ddmsim.oracle, "solve_ivp", failing)
+        with pytest.raises(NonConvergenceError) as info:
+            full_evolve(FullState.ground(2), ModelParams(n_atoms=2, rabi=1.0), 1.0)
+        assert str(info.value) == ("full-space integration failed at t = 0.25: "
+                                   "Required step size is too small.")
+        assert info.value.last_time == 0.25
 
 
 class TestProjection:

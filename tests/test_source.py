@@ -5,6 +5,7 @@ import pathlib
 
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "ddmsim"
+BENCH = TESTS.parent / "bench"
 
 # Imported but never read in its module: bench/spans.py traces
 # `ddmsim.sweep.liouvillian_rhs`, `.steady_state`, `.g2_zero` and
@@ -36,6 +37,34 @@ def unread_imports(path):
 def test_every_import_is_read():
     unread = set().union(*map(unread_imports, sorted(SRC.glob("*.py"))))
     assert unread == HELD_IMPORTS
+
+
+def bench_wrapped_names(bench):
+    """The names that bench/spans.py patches (its PATCHES table) and
+    bench/gate.py assigns to, as module.name, read from the source."""
+    names = set()
+    for node in ast.walk(ast.parse((bench / "spans.py").read_text())):
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "PATCHES" for t in node.targets)):
+            names |= {f"{ast.unparse(entry.elts[0])}.{entry.elts[1].value}"
+                      for entry in node.value.elts}
+    for node in ast.walk(ast.parse((bench / "gate.py").read_text())):
+        if isinstance(node, ast.Assign):
+            names |= {ast.unparse(t) for t in node.targets if isinstance(t, ast.Attribute)}
+    return names
+
+
+def test_every_held_import_is_wrapped_by_the_benchmark():
+    # Once the benchmark stops wrapping a name, its import can go.
+    assert HELD_IMPORTS <= bench_wrapped_names(BENCH)
+
+
+def test_bench_guard_reads_patches_and_gate(tmp_path):
+    (tmp_path / "spans.py").write_text(
+        "import a.b\nPATCHES = (\n    (a.b, 'f', 'x', None),\n    (a, 'g', 'y', h),\n)\n"
+        "OTHER = ((a.b, 'z', 'w', None),)\n")
+    (tmp_path / "gate.py").write_text("import a.b\nf = a.b.k\na.b.k = f\n")
+    assert bench_wrapped_names(tmp_path) == {"a.b.f", "a.g", "a.b.k"}
 
 
 def test_guard_sees_an_unread_import(tmp_path):

@@ -32,6 +32,7 @@ from ddmsim.ladder import (
     observables,
     steady_state,
 )
+from ddmsim.meanfield import solve_x
 from ddmsim.params import ModelParams
 from ddmsim.sweep import SweepResult, SweepSpec, format_csv, run
 
@@ -314,14 +315,14 @@ class TestReadTable:
 # --- screening rows -----------------------------------------------------------
 
 def reference_solve_x(beta, n_atoms):
-    """The scalar closed-form root, in math-module arithmetic."""
+    """The scalar closed-form root, point by point."""
     if not (math.isfinite(beta) and beta > 0):
         raise ValueError(f"beta must be finite and > 0, got {beta}")
     if not (math.isfinite(n_atoms) and n_atoms >= 1):
         raise ValueError(f"n_atoms must be finite and >= 1, got {n_atoms}")
     inv_n = 1.0 / n_atoms
     b = inv_n * inv_n + 0.5 * (1.0 - beta) * (1.0 + beta)
-    root = math.hypot(b, math.sqrt(2.0) * beta * inv_n)
+    root = float(np.hypot(b, math.sqrt(2.0) * beta * inv_n))
     if b >= 0.0:
         x = math.sqrt(2.0 * beta * beta / (b + root)) * inv_n
     else:
@@ -336,10 +337,10 @@ def reference_screening_row(n, beta):
     n, beta = float(n), float(beta)
     try:
         x = reference_solve_x(beta, n)
-        asym = math.sqrt(beta**2 - 1.0) if beta >= 1.0 else 0.0
+        asym = math.sqrt(beta * beta - 1.0) if beta >= 1.0 else 0.0
         u = n * x
         half_u2 = 0.5 * u * u
-        resid = abs((u / n) ** 2 + half_u2 / (1.0 + half_u2) - beta * beta)
+        resid = abs((u / n) * (u / n) + half_u2 / (1.0 + half_u2) - beta * beta)
         row = {"n_atoms": n, "beta": beta, "x": x, "x_asymptote": asym,
                "residual": resid, "status": "ok"}
         bad = [k for k, v in row.items() if isinstance(v, float) and not math.isfinite(v)]
@@ -389,6 +390,18 @@ class TestScreeningRows:
                                                   "beta": betas}})).rows
         want = [reference_screening_row(n, b) for n in n_values for b in betas]
         assert rows == want
+
+    def test_x_is_solve_x_of_its_point_alone(self):
+        # One point runs the array code on 0-d arrays: a batch gives each
+        # point the bits it gets alone.
+        rng = np.random.default_rng(27)
+        n_values = np.geomspace(10.0, 1.0e4, 300).tolist() + (
+            10.0 ** rng.uniform(0.0, 12.0, 100)).tolist()
+        betas = [0.2, 0.62, 0.97, 1.0, 1.1, 1.67, 3.0, 1e3]
+        rows = run(SweepSpec.from_dict({"mode": "screening_curve",
+                                        "grids": {"n_atoms": n_values,
+                                                  "beta": betas}})).rows
+        assert [r["x"] for r in rows] == [solve_x(b, n).x for n in n_values for b in betas]
 
     def test_bad_grid_value_raises_as_before(self):
         # Still a ValueError that names the value, now a ConfigError of
@@ -491,7 +504,7 @@ class TestTrajectoryObservables:
     def test_g2_zero_unchanged(self, n, rabi):
         state = steady_state(ModelParams(n_atoms=n, rabi=rabi))
         _, _, _, spsm, g2_num = reference_observables(state)
-        assert g2_zero(state) == g2_num / spsm**2
+        assert g2_zero(state) == g2_num / (spsm * spsm)
 
     def test_g2_zero_of_dark_state_raises(self):
         with pytest.raises(UndefinedCorrelationError):
@@ -616,6 +629,15 @@ class TestSteadyRows:
         for r in rows:
             assert 0.0 <= r["n_e"] <= 1.0
             # The steady balance of <S_z>: rabi Im<S-> = -<S+S->.
+            assert r["im_dipole"] == pytest.approx(-r["gamma_sr"] / r["rabi"], rel=1e-12)
+
+    def test_rows_at_strong_drive_are_valid(self):
+        # The band's drive terms grow as rabi S max p, and under a bound of
+        # S(S+1) max p alone their round-off failed these rows.
+        grids = {"n_atoms": [10_000, 100_000], "beta": [300.0, 1000.0]}
+        rows = run(SweepSpec.from_dict({"mode": "phase_diagram", "grids": grids})).rows
+        assert [r["status"] for r in rows] == ["ok"] * 4
+        for r in rows:
             assert r["im_dipole"] == pytest.approx(-r["gamma_sr"] / r["rabi"], rel=1e-12)
 
     @pytest.mark.parametrize("argv, status", [
